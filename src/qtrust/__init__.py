@@ -26,7 +26,7 @@ from .defense import (
     select_backend,
 )
 from .harness import ExperimentConfig, load_config, run_experiment
-from .metrics import MetricsReport, pm, stitch, top_outcome, tvd
+from .metrics import pm, stitch, top_outcome, tvd
 from .qaoa import (
     Graph,
     QaoaConfig,

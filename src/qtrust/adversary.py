@@ -3,14 +3,20 @@ measured-bit distributions, plus the error-masking arithmetic a rogue
 provider uses to hide the extra flip probability inside quoted readout
 error figures.
 
-Line indices count from the right of a bitstring key: line 0 is the
-rightmost character (q0 under the q_{n-1}...q_0 convention).
+Tampering and readout error are one tensored bit-flip map with different
+probabilities: ``flip_channel`` on a dense outcome vector, which
+``tamper_channel`` wraps for dicts. Line i is the i-th character from the
+right of a key (q_i under the q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
+
+from .metrics import from_vector, ranked, to_vector
 
 
 class TamperError(ValueError):
@@ -71,6 +77,10 @@ class TamperSpec:
             raise TamperError(f"target lines {self.lines} outside [0, {num_lines})")
         return self.lines
 
+    def flips(self, num_lines: int) -> dict[int, tuple[float, float]]:
+        """Symmetric ``(t, t)`` flip pair on every target line."""
+        return {line: (self.t, self.t) for line in self.resolved_lines(num_lines)}
+
 
 @dataclass(frozen=True)
 class MaskingReport:
@@ -85,10 +95,10 @@ class MaskingReport:
 
 def _top_two(counts: dict[str, int]) -> tuple[str, str]:
     # ties broken toward the lexicographically smallest key, for determinism
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if len(ranked) < 2:
+    order = ranked(counts)
+    if len(order) < 2:
         raise DegenerateCounts("need at least two distinct outcomes to plan")
-    return ranked[0][0], ranked[1][0]
+    return order[0][0], order[1][0]
 
 
 def plan_targeted(untampered: dict[str, int]) -> tuple[int, ...]:
@@ -103,25 +113,26 @@ def plan_targeted(untampered: dict[str, int]) -> tuple[int, ...]:
     return lines
 
 
+def flip_channel(
+    probs: np.ndarray, flips: dict[int, tuple[float, float]]
+) -> np.ndarray:
+    """Apply [[1-p01, p10], [p01, 1-p10]] along line i for each
+    ``i: (p01, p10)`` in ``flips``; ``probs`` is indexed by integer outcome.
+    """
+    for line, (p01, p10) in flips.items():
+        if p01 == 0.0 and p10 == 0.0:
+            continue
+        m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+        probs = (m @ probs.reshape(-1, 2, 1 << line)).reshape(-1)
+    return probs
+
+
 def tamper_channel(dist: dict[str, float], spec: TamperSpec) -> dict[str, float]:
     """Symmetric bit-flip with probability t on every targeted line."""
     if not dist:
         return {}
-    width = len(next(iter(dist)))
-    lines = spec.resolved_lines(width)
-    if spec.t == 0.0 or not lines:
-        return dict(dist)
-    out: dict[str, float] = dict(dist)
-    for line in lines:
-        pos = width - 1 - line
-        flipped: dict[str, float] = {}
-        t = spec.t
-        for key, p in out.items():
-            other = key[:pos] + ("1" if key[pos] == "0" else "0") + key[pos + 1 :]
-            flipped[key] = flipped.get(key, 0.0) + p * (1.0 - t)
-            flipped[other] = flipped.get(other, 0.0) + p * t
-        out = flipped
-    return out
+    flips = spec.flips(len(next(iter(dist))))
+    return from_vector(flip_channel(to_vector(dist), flips))
 
 
 def masked_rae(

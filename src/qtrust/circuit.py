@@ -6,7 +6,7 @@ the highest-indexed qubit, i.e. "q_{n-1} ... q_1 q_0".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MAX_QUBITS = 24

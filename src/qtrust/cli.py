@@ -23,6 +23,7 @@ from .harness import (
     write_csv,
     write_jsonl,
 )
+from .metrics import ranked
 from .qasm import QasmError, parse_qasm
 from .simulator import run_statevector
 
@@ -45,9 +46,8 @@ def _cmd_parse(args) -> int:
     print(f"depth:       {circuit.depth()}")
     print(f"measured:    {circuit.num_measured}")
     dist = run_statevector(circuit)
-    ranked = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     print("ideal top-5:")
-    for key, p in ranked:
+    for key, p in ranked(dist)[:5]:
         print(f"  {key}  {p:.6f}")
     return 0
 

@@ -12,8 +12,7 @@ from majority voting over per-cell top outcomes.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .backend import BackendModel

@@ -15,7 +15,6 @@ so records are byte-identical across re-runs and worker counts
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -38,7 +37,7 @@ from .defense import (
     qaoa_adaptive,
     qaoa_iteration_split,
 )
-from .metrics import pm, top_outcome, tvd
+from .metrics import pm, ranked, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
 from .qasm import parse_qasm
 from .rng import derive_seed
@@ -369,8 +368,7 @@ def _with_t(backends: tuple[BackendModel, ...], t: float | None):
 
 
 def _top_counts(counts: dict[str, int], k: int = 5) -> dict[str, int]:
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return dict(ranked[:k])
+    return dict(ranked(counts)[:k])
 
 
 def _probe_summary(report) -> dict:

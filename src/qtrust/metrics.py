@@ -1,5 +1,6 @@
 """Outcome-quality metrics: performance metric (PM), total variation
-distance (TVD) and counts stitching.
+distance (TVD), counts stitching and the conversion between bitstring
+histograms and dense vectors of length 2^w indexed by ``int(key, 2)``.
 
 PM uses math.inf as the sentinel when no incorrect outcome was observed;
 inf compares greater than any finite PM, which is exactly the intended
@@ -8,22 +9,16 @@ ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .simulator import Counts
+import numpy as np
 
 
 class KeyLengthMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    pm: float
-    tvd_vs_ideal: float
-    tvd_vs_clean: float
-    top_outcome: str
-    confidence: float
+class Counts(dict):
+    """Histogram from bitstring outcomes to non-negative shot counts."""
 
 
 def _check_widths(keys, width: int | None = None) -> int:
@@ -35,6 +30,25 @@ def _check_widths(keys, width: int | None = None) -> int:
     if width is None:
         raise KeyLengthMismatch("empty histogram")
     return width
+
+
+def to_vector(hist: dict[str, float]) -> np.ndarray:
+    """Dense float64 vector of a histogram."""
+    vec = np.zeros(1 << _check_widths(hist))
+    vec[[int(k, 2) for k in hist]] = list(hist.values())
+    return vec
+
+
+def from_vector(vec: np.ndarray) -> dict:
+    """Histogram of the nonzero entries of a dense vector, in key order."""
+    fmt = f"0{vec.size.bit_length() - 1}b"
+    nonzero = np.flatnonzero(vec)
+    return {format(i, fmt): v for i, v in zip(nonzero.tolist(), vec[nonzero].tolist())}
+
+
+def ranked(hist: dict) -> list[tuple]:
+    """Items by descending value, ties broken toward the smallest key."""
+    return sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def pm(counts: dict[str, int], correct: str) -> float:
@@ -84,5 +98,5 @@ def stitch(parts: list[dict[str, int]]) -> Counts:
 
 def top_outcome(counts: dict[str, int]) -> tuple[str, float]:
     """Modal outcome and its empirical probability (lexicographic tie-break)."""
-    key = min(counts, key=lambda k: (-counts[k], k))
-    return key, counts[key] / sum(counts.values())
+    key, count = ranked(counts)[0]
+    return key, count / sum(counts.values())

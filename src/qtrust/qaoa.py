@@ -5,7 +5,7 @@ optimizer tolerant of shot noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

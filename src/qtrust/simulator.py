@@ -1,19 +1,21 @@
 """Dense statevector execution, readout-noise channels and seeded shot
 sampling.
 
-A Distribution is a plain dict mapping bitstring keys to probabilities;
-Counts is a dict subclass mapping bitstring keys to shot counts. Keys
-follow the q_{n-1}...q_0 convention; channel line indices count from the
-right (line 0 = rightmost character).
+At the public boundary a Distribution is a dict mapping bitstring keys to
+probabilities and Counts maps them to shot counts. Keys follow the
+q_{n-1}...q_0 convention; line 0 is the rightmost character. Inside, one
+dense vector indexed by the integer outcome runs through readout and
+tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .adversary import tamper_channel, plan_targeted, TamperMode
+from .adversary import flip_channel, plan_targeted, TamperMode
 from .backend import BackendModel, ReadoutPair
-from .circuit import Circuit, CircuitError, GateKind, MAX_QUBITS, CapacityExceeded
+from .circuit import Circuit, CircuitError, GateKind
 from .gates import matrix
+from .metrics import Counts, from_vector, to_vector
 from .rng import derive_rng, derive_seed
 
 Distribution = dict[str, float]
@@ -25,14 +27,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class Counts(dict):
-    """Histogram from bitstring outcomes to non-negative shot counts."""
-
-    @property
-    def total_shots(self) -> int:
-        return sum(self.values())
-
-
 def _apply_gate(psi: np.ndarray, gate: np.ndarray, axes: list[int]) -> np.ndarray:
     k = len(axes)
     tensor = gate.reshape((2,) * (2 * k))
@@ -42,7 +36,11 @@ def _apply_gate(psi: np.ndarray, gate: np.ndarray, axes: list[int]) -> np.ndarra
 
 def _evolve(circuit: Circuit, rng=None, depolarizing: float = 0.0) -> np.ndarray:
     """Run all gates, optionally injecting Pauli errors per gate (one
-    stochastic trajectory). Returns the final statevector tensor."""
+    stochastic trajectory). Returns the probability vector of the measured
+    bits, indexed by the integer value of their bitstring."""
+    pairs = circuit.measured_pairs
+    if not pairs:
+        raise CircuitError("circuit has no measurements")
     n = circuit.num_qubits
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
@@ -66,40 +64,24 @@ def _evolve(circuit: Circuit, rng=None, depolarizing: float = 0.0) -> np.ndarray
         if __debug__:
             norm = float(np.sum(np.abs(psi) ** 2))
             assert abs(norm - 1.0) < 1e-10, f"norm drifted to {norm}"
-    return psi
-
-
-def _measured_distribution(circuit: Circuit, psi: np.ndarray) -> Distribution:
-    pairs = circuit.measured_pairs
-    if not pairs:
-        raise CircuitError("circuit has no measurements")
-    n = circuit.num_qubits
     probs = np.abs(psi) ** 2
     front = [n - 1 - q for q, _ in pairs]  # output order, clbit descending
     rest = [a for a in range(n) if a not in front]
-    probs = np.transpose(probs, front + rest).reshape(2 ** len(front), -1).sum(axis=1)
-    width = len(front)
-    return {
-        format(i, f"0{width}b"): float(p) for i, p in enumerate(probs) if p > 0.0
-    }
+    return np.transpose(probs, front + rest).reshape(2 ** len(front), -1).sum(axis=1)
 
 
 def run_statevector(circuit: Circuit) -> Distribution:
     """Exact outcome distribution over the measured classical bits."""
-    if circuit.num_qubits > MAX_QUBITS:
-        raise CapacityExceeded(f"{circuit.num_qubits} qubits exceeds capacity")
-    return _measured_distribution(circuit, _evolve(circuit))
+    return from_vector(_evolve(circuit))
 
 
-def _trajectory_distribution(
+def _trajectory_vector(
     circuit: Circuit, depolarizing: float, trajectories: int, rng
-) -> Distribution:
-    acc: dict[str, float] = {}
+) -> np.ndarray:
     w = 1.0 / trajectories
+    acc = 0.0
     for _ in range(trajectories):
-        psi = _evolve(circuit, rng=rng, depolarizing=depolarizing)
-        for key, p in _measured_distribution(circuit, psi).items():
-            acc[key] = acc.get(key, 0.0) + w * p
+        acc += w * _evolve(circuit, rng=rng, depolarizing=depolarizing)
     return acc
 
 
@@ -117,36 +99,21 @@ def apply_readout_channel(
         raise DimensionMismatch(
             f"{len(pairs)} readout channels supplied for {width}-bit keys"
         )
-    out = dict(dist)
-    for line, (p01, p10) in enumerate(pairs):
-        if p01 == 0.0 and p10 == 0.0:
-            continue
-        pos = width - 1 - line
-        mixed: dict[str, float] = {}
-        for key, p in out.items():
-            bit = key[pos]
-            other = key[:pos] + ("1" if bit == "0" else "0") + key[pos + 1 :]
-            stay = 1.0 - p01 if bit == "0" else 1.0 - p10
-            flip = p01 if bit == "0" else p10
-            mixed[key] = mixed.get(key, 0.0) + p * stay
-            mixed[other] = mixed.get(other, 0.0) + p * flip
-        out = mixed
-    return out
+    return from_vector(flip_channel(to_vector(dist), dict(enumerate(pairs))))
 
 
-def _sample(dist: Distribution, shots: int, rng) -> Counts:
+def _sample(probs: np.ndarray, shots: int, seed: int) -> Counts:
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    keys = sorted(dist)
-    probs = np.clip(np.array([dist[k] for k in keys], dtype=float), 0.0, None)
-    probs /= probs.sum()
-    draws = rng.multinomial(shots, probs)
-    return Counts({k: int(c) for k, c in zip(keys, draws) if c})
+    mass = probs.sum()
+    if probs.min() < 0.0 or abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"not a distribution: mass {mass} or a negative entry")
+    return Counts(from_vector(derive_rng(seed).multinomial(shots, probs / mass)))
 
 
 def sample_counts(dist: Distribution, shots: int, seed: int) -> Counts:
     """Seeded multinomial draw; identical inputs give identical Counts."""
-    return _sample(dist, shots, derive_rng(seed))
+    return _sample(to_vector(dist), shots, seed)
 
 
 def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
@@ -154,9 +121,14 @@ def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
     return [backend.noise.pair_for(q) for q, _ in reversed(ordered)]
 
 
+def _clean_vector(backend: BackendModel, circuit: Circuit) -> np.ndarray:
+    pairs = dict(enumerate(_line_pairs(backend, circuit)))
+    return flip_channel(_evolve(circuit), pairs)
+
+
 def clean_distribution(backend: BackendModel, circuit: Circuit) -> Distribution:
     """Analytic post-readout distribution without drift or tampering."""
-    return apply_readout_channel(run_statevector(circuit), _line_pairs(backend, circuit))
+    return from_vector(_clean_vector(backend, circuit))
 
 
 def resolve_tamper(backend: BackendModel, circuit: Circuit, seed: int) -> BackendModel:
@@ -170,8 +142,8 @@ def resolve_tamper(backend: BackendModel, circuit: Circuit, seed: int) -> Backen
         return backend
     width = circuit.num_measured
     if spec.mode is TamperMode.TARGETED:
-        private = sample_counts(
-            clean_distribution(backend, circuit),
+        private = _sample(
+            _clean_vector(backend, circuit),
             PLAN_SHOTS,
             derive_seed(seed, backend.name, "tamper-plan"),
         )
@@ -188,11 +160,11 @@ def execute(backend: BackendModel, circuit: Circuit, shots: int, seed: int) -> C
     tamper channel -> multinomial sampling."""
     if backend.noise.gate_depolarizing > 0.0:
         rng = derive_rng(seed, backend.name, "trajectories")
-        dist = _trajectory_distribution(
+        probs = _trajectory_vector(
             circuit, backend.noise.gate_depolarizing, shots, rng
         )
     else:
-        dist = run_statevector(circuit)
+        probs = _evolve(circuit)
     pairs = _line_pairs(backend, circuit)
     if backend.drift > 0.0:
         rng = derive_rng(seed, backend.name, "drift")
@@ -204,8 +176,8 @@ def execute(backend: BackendModel, circuit: Circuit, shots: int, seed: int) -> C
             )
             for (p01, p10), (j0, j1) in zip(pairs, jitter)
         ]
-    dist = apply_readout_channel(dist, pairs)
+    probs = flip_channel(probs, dict(enumerate(pairs)))
     if backend.tamper is not None:
         resolved = resolve_tamper(backend, circuit, seed)
-        dist = tamper_channel(dist, resolved.tamper)
-    return sample_counts(dist, shots, derive_seed(seed, backend.name, "sample"))
+        probs = flip_channel(probs, resolved.tamper.flips(len(pairs)))
+    return _sample(probs, shots, derive_seed(seed, backend.name, "sample"))

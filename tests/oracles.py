@@ -155,3 +155,24 @@ def flip_monte_carlo(
         key = "".join(chars)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def readout_oracle(
+    dist: dict[str, float], line_pairs: dict[int, tuple[float, float]], width: int
+) -> dict[str, float]:
+    """Tensored bit-flip map as one explicit 2^w x 2^w matrix.
+
+    The matrix is the Kronecker product of the per-line 2x2 matrices
+    [[1-p01, p10], [p01, 1-p10]], line w-1 first and line 0 as the last
+    (least significant) factor; lines missing from ``line_pairs`` get the
+    identity. The returned dict has every key, zeros included.
+    """
+    full = np.ones((1, 1))
+    for line in reversed(range(width)):
+        p01, p10 = line_pairs.get(line, (0.0, 0.0))
+        full = np.kron(full, np.array([[1.0 - p01, p10], [p01, 1.0 - p10]]))
+    vec = np.zeros(2**width)
+    for key, p in dist.items():
+        vec[int(key, 2)] += p
+    keys = [format(i, f"0{width}b") for i in range(2**width)]
+    return dict(zip(keys, (full @ vec).tolist()))

@@ -129,11 +129,20 @@ def test_select_backend_order_validation():
 
 
 def test_select_backend_order_is_configurable():
-    report = probe([clean(), tampered(t=0.3)], TOFFOLI, seed=0)
-    default = select_backend(report)
-    tvd_first = select_backend(report, order=("repeatability", "tvd", "pm", "confidence"))
-    assert default in ("hw_a", "hw_b")
-    assert tvd_first in ("hw_a", "hw_b")
+    from qtrust.defense import BackendProbe, ProbeReport, ProbeRun
+
+    run = ProbeRun({"111": 40, "110": 10}, "111", 0.8, 4.0)
+
+    def backend(name, mean_pm, tvd):
+        return BackendProbe(name, (run, run), True, tvd, mean_pm, 0.8)
+
+    # both repeatable and voted; hw_a wins on PM, hw_b on TVD
+    report = ProbeReport(
+        (backend("hw_a", 5.0, 0.2), backend("hw_b", 2.0, 0.05)), "111", 50, 2
+    )
+    assert select_backend(report) == "hw_a"
+    tvd_first = ("repeatability", "tvd", "pm", "confidence")
+    assert select_backend(report, order=tvd_first) == "hw_b"
 
 
 # --- adaptive split -------------------------------------------------------------

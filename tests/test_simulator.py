@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtrust.adversary import TamperMode, TamperSpec, tamper_channel
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CircuitBuilder, GateKind
 from qtrust.simulator import (
@@ -16,7 +17,7 @@ from qtrust.simulator import (
     sample_counts,
 )
 
-from oracles import oracle_distribution
+from oracles import oracle_distribution, readout_oracle
 
 
 def _bell():
@@ -156,6 +157,46 @@ def test_readout_channel_preserves_mass(p01, p10, weight):
     assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_channels_map_empty_to_empty():
+    assert apply_readout_channel({}, [(0.1, 0.2)]) == {}
+    assert tamper_channel({}, TamperSpec(TamperMode.TARGETED, 0.3)) == {}
+
+
+_probability = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def flip_cases(draw):
+    width = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.lists(_probability, min_size=2**width, max_size=2**width))
+    total = sum(weights)
+    assume(total > 0.0)
+    dist = {format(i, f"0{width}b"): w / total for i, w in enumerate(weights) if w}
+    pairs = draw(
+        st.lists(
+            st.tuples(_probability, _probability), min_size=width, max_size=width
+        )
+    )
+    lines = draw(st.sets(st.integers(min_value=0, max_value=width - 1), min_size=1))
+    return dist, pairs, draw(_probability), tuple(sorted(lines))
+
+
+@settings(max_examples=80, deadline=None)
+@given(flip_cases())
+def test_channels_match_kronecker_oracle(case):
+    dist, pairs, t, lines = case
+    width = len(pairs)
+    readout = apply_readout_channel(dist, pairs)
+    want = readout_oracle(dist, dict(enumerate(pairs)), width)
+    for key, p in want.items():
+        assert readout.get(key, 0.0) == pytest.approx(p, abs=1e-12)
+    spec = TamperSpec(TamperMode.TARGETED, t, lines=lines)
+    tampered = tamper_channel(readout, spec)
+    want = readout_oracle(readout, {line: (t, t) for line in lines}, width)
+    for key, p in want.items():
+        assert tampered.get(key, 0.0) == pytest.approx(p, abs=1e-12)
+
+
 # --- sampling and the execute pipeline ---------------------------------------
 
 
@@ -165,6 +206,16 @@ def test_sample_counts_deterministic():
     b = sample_counts(dist, 1000, seed=7)
     assert a == b
     assert sum(a.values()) == 1000
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [{"0": 0.25, "1": 0.25}, {"0": 1.2, "1": -0.2}],
+    ids=["half_mass", "negative"],
+)
+def test_sample_counts_rejects_invalid_distribution(dist):
+    with pytest.raises(ValueError):
+        sample_counts(dist, 100, seed=0)
 
 
 def test_sample_counts_seed_sensitivity():
