@@ -73,6 +73,8 @@ class Instruction:
     clbit: int | None = None
 
     def __post_init__(self):
+        if self.kind is GateKind.BARRIER and not self.qubits:
+            raise CircuitError("barrier needs at least one qubit")
         if self.kind is not GateKind.BARRIER and len(self.qubits) != self.kind.arity:
             raise CircuitError(
                 f"{self.kind.value} expects {self.kind.arity} qubit(s), "
@@ -166,6 +168,8 @@ class CircuitBuilder:
         self._instructions: list[Instruction] = []
 
     def gate(self, kind: GateKind, *qubits: int, params=()) -> "CircuitBuilder":
+        if kind is GateKind.BARRIER and not qubits:
+            qubits = tuple(range(self.num_qubits))  # as QASM's "barrier q;"
         self._instructions.append(
             Instruction(kind, tuple(qubits), tuple(float(p) for p in params))
         )

@@ -8,14 +8,16 @@ its ideal top-5 distribution.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 from pathlib import Path
 
+from .circuit import CircuitError
 from .harness import (
     ConfigError,
     IoError,
+    field_mean,
+    group_by,
     load_config,
     read_jsonl,
     run_experiment,
@@ -37,7 +39,8 @@ def _cmd_parse(args) -> int:
         return 1
     try:
         circuit = parse_qasm(source, name=path.stem)
-    except QasmError as exc:
+        dist = run_statevector(circuit)
+    except (QasmError, CircuitError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     print(f"name:        {circuit.name}")
@@ -45,7 +48,6 @@ def _cmd_parse(args) -> int:
     print(f"gates:       {circuit.gate_count()}")
     print(f"depth:       {circuit.depth()}")
     print(f"measured:    {circuit.num_measured}")
-    dist = run_statevector(circuit)
     print("ideal top-5:")
     for key, p in ranked(dist)[:5]:
         print(f"  {key}  {p:.6f}")
@@ -73,95 +75,45 @@ def _cmd_run(args) -> int:
     return 1 if errors else 0
 
 
-def _mean(values):
-    values = [v for v in values if isinstance(v, (int, float))]
-    return statistics.fmean(values) if values else None
+def _defense(mode, *fields):
+    """Record filter: the given defense mode, carrying every field."""
+    return lambda r: r["defense"] == mode and all(f in r for f in fields)
 
 
-def _rows_fig6(records):
-    """PM and TVD vs t per backend (no defense)."""
-    groups = {}
-    for r in records:
-        if r["defense"] != "none" or "pm" not in r:
-            continue
-        groups.setdefault((r["workload"], r["backend"], r["t"]), []).append(r)
-    return [
-        {
-            "workload": wl,
-            "backend": bk,
-            "t": t,
-            "pm_mean": _mean([r["pm"] for r in g]),
-            "tvd_vs_ideal_mean": _mean([r["tvd_vs_ideal"] for r in g]),
-            "tvd_vs_clean_mean": _mean([r["tvd_vs_clean"] for r in g]),
-        }
-        for (wl, bk, t), g in sorted(groups.items(), key=lambda kv: str(kv[0]))
-    ]
+def _means(fields, metrics, where):
+    """Report builder: the mean of each metric per group of `fields`."""
+
+    def build(records):
+        rows = []
+        for key, g in group_by(records, fields, where):
+            row = dict(zip(fields, key))
+            row.update((f"{m}_mean", field_mean(g, m)) for m in metrics)
+            rows.append(row)
+        return rows
+
+    return build
 
 
-def _rows_shots(records):
-    """PM vs shot budget per backend (no defense)."""
-    groups = {}
-    for r in records:
-        if r["defense"] != "none" or "pm" not in r:
-            continue
-        groups.setdefault((r["workload"], r["backend"], r["t"], r["shots"]), []).append(r)
-    return [
-        {
-            "workload": wl,
-            "backend": bk,
-            "t": t,
-            "shots": shots,
-            "pm_mean": _mean([r["pm"] for r in g]),
-            "tvd_vs_ideal_mean": _mean([r["tvd_vs_ideal"] for r in g]),
-        }
-        for (wl, bk, t, shots), g in sorted(groups.items(), key=lambda kv: str(kv[0]))
-    ]
-
-
-def _rows_fig11(records):
-    """Equal-split PM/TVD vs t."""
-    groups = {}
-    for r in records:
-        if r["defense"] != "equal":
-            continue
-        groups.setdefault((r["workload"], r["t"]), []).append(r)
-    return [
-        {
-            "workload": wl,
-            "t": t,
-            "pm_mean": _mean([r["pm"] for r in g]),
-            "tvd_vs_ideal_mean": _mean([r["tvd_vs_ideal"] for r in g]),
-        }
-        for (wl, t), g in sorted(groups.items(), key=lambda kv: str(kv[0]))
-    ]
+_CELL = ("workload", "t", "shots", "seed")
 
 
 def _rows_fig12(records):
     """Adaptive split: selection rate and mean shot share per backend."""
-    groups = {}
-    for r in records:
-        if r["defense"] != "adaptive":
-            continue
-        groups.setdefault((r["workload"], r["t"]), []).append(r)
     rows = []
-    for (wl, t), g in sorted(groups.items(), key=lambda kv: str(kv[0])):
-        names = sorted({name for r in g for name, _ in r["allocations"]})
-        for name in names:
-            shares = []
-            selected = 0
-            for r in g:
-                total = sum(s for _, s in r["allocations"])
-                share = dict((n, s) for n, s in r["allocations"]).get(name, 0)
-                shares.append(share / total)
-                selected += r.get("selected") == name
+    for (wl, t), g in group_by(records, ("workload", "t"), _defense("adaptive")):
+        allocations = [dict(r["allocations"]) for r in g]
+        pm_mean = field_mean(g, "pm")
+        for name in sorted({name for a in allocations for name in a}):
+            shares = [a.get(name, 0) / sum(a.values()) for a in allocations]
+            selected = sum(r.get("selected") == name for r in g)
             rows.append(
                 {
                     "workload": wl,
                     "t": t,
                     "backend": name,
-                    "mean_shot_share": _mean(shares),
+                    "mean_shot_share": statistics.fmean(shares),
                     "selection_rate": selected / len(g),
-                    "pm_mean": _mean([r["pm"] for r in g]),
+                    "pm_mean": pm_mean,
                 }
             )
     return rows
@@ -170,77 +122,67 @@ def _rows_fig12(records):
 def _rows_table3(records):
     """Per-backend probe fingerprints from adaptive runs."""
     rows = []
-    for r in records:
-        if r["defense"] != "adaptive" or "probe" not in r:
-            continue
-        for bp in r["probe"]["backends"]:
-            rows.append(
-                {
-                    "workload": r["workload"],
-                    "t": r["t"],
-                    "seed": r["seed"],
-                    "backend": bp["name"],
-                    "repeatable": bp["repeatable"],
-                    "run_tops": " ".join(bp["run_tops"]),
-                    "mean_pm": bp["mean_pm"],
-                    "mean_inter_run_tvd": bp["mean_inter_run_tvd"],
-                    "mean_confidence": bp["mean_confidence"],
-                    "voted_answer": r["probe"]["voted_answer"],
-                }
-            )
-    rows.sort(key=lambda row: (str(row["t"]), row["seed"], row["backend"]))
+    for key, g in group_by(records, _CELL, _defense("adaptive", "probe")):
+        for r in g:
+            probe = r["probe"]
+            for bp in sorted(probe["backends"], key=lambda bp: bp["name"]):
+                rows.append(
+                    {
+                        **dict(zip(_CELL, key)),
+                        "backend": bp["name"],
+                        "repeatable": bp["repeatable"],
+                        "run_tops": " ".join(bp["run_tops"]),
+                        "mean_pm": bp["mean_pm"],
+                        "mean_inter_run_tvd": bp["mean_inter_run_tvd"],
+                        "mean_confidence": bp["mean_confidence"],
+                        "voted_answer": probe["voted_answer"],
+                    }
+                )
     return rows
-
-
-def _rows_table5(records):
-    """Iteration-split AR vs t."""
-    groups = {}
-    for r in records:
-        if r["defense"] != "qaoa_split":
-            continue
-        groups.setdefault((r["workload"], r["t"]), []).append(r)
-    return [
-        {
-            "workload": wl,
-            "t": t,
-            "ar_mean": _mean([r["ar"] for r in g]),
-            "phase_a_ar_mean": _mean([r["phase_a_ar"] for r in g]),
-            "phase_b_ar_mean": _mean([r["phase_b_ar"] for r in g]),
-        }
-        for (wl, t), g in sorted(groups.items(), key=lambda kv: str(kv[0]))
-    ]
 
 
 def _rows_table6(records):
     """Adaptive QAOA: probe ARs and selection per t."""
     rows = []
-    for r in records:
-        if r["defense"] != "qaoa_adaptive":
-            continue
-        for name, ars in sorted(r["probe_ars"].items()):
-            rows.append(
-                {
-                    "workload": r["workload"],
-                    "t": r["t"],
-                    "seed": r["seed"],
-                    "backend": name,
-                    "probe_ars": " ".join(f"{a:.4f}" for a in ars),
-                    "selected": r["selected"] == name,
-                    "final_ar": r["ar"] if r["selected"] == name else None,
-                }
-            )
-    rows.sort(key=lambda row: (str(row["t"]), row["seed"], row["backend"]))
+    for key, g in group_by(records, _CELL, _defense("qaoa_adaptive")):
+        for r in g:
+            for name, ars in sorted(r["probe_ars"].items()):
+                rows.append(
+                    {
+                        **dict(zip(_CELL, key)),
+                        "backend": name,
+                        "probe_ars": " ".join(f"{a:.4f}" for a in ars),
+                        "selected": r["selected"] == name,
+                        "final_ar": r["ar"] if r["selected"] == name else None,
+                    }
+                )
     return rows
 
 
+# fig8 and table2 are the same grouping: PM against the shot budget
+_SHOTS = _means(
+    ("workload", "backend", "t", "shots"),
+    ("pm", "tvd_vs_ideal"),
+    _defense("none", "pm"),
+)
+
 _REPORTS = {
-    "fig6": _rows_fig6,
-    "fig8": _rows_shots,
-    "fig11": _rows_fig11,
+    # PM and TVD vs t per backend (no defense)
+    "fig6": _means(
+        ("workload", "backend", "t"),
+        ("pm", "tvd_vs_ideal", "tvd_vs_clean"),
+        _defense("none", "pm"),
+    ),
+    "fig8": _SHOTS,
+    # equal-split PM/TVD vs t
+    "fig11": _means(("workload", "t"), ("pm", "tvd_vs_ideal"), _defense("equal")),
     "fig12": _rows_fig12,
-    "table2": _rows_shots,
+    "table2": _SHOTS,
     "table3": _rows_table3,
-    "table5": _rows_table5,
+    # iteration-split AR vs t
+    "table5": _means(
+        ("workload", "t"), ("ar", "phase_a_ar", "phase_b_ar"), _defense("qaoa_split")
+    ),
     "table6": _rows_table6,
 }
 

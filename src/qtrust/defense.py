@@ -34,12 +34,6 @@ class InsufficientShots(DefenseError):
 @dataclass(frozen=True)
 class SplitPlan:
     allocations: tuple[tuple[str, int], ...]
-    probe_shots: int = 0
-    probe_runs: int = 0
-
-    @property
-    def total(self) -> int:
-        return sum(s for _, s in self.allocations)
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def adaptive_split(
     allocations = tuple(
         (b.name, r * k + (remainder if b.name == winner else 0)) for b in backends
     )
-    return stitch(parts), SplitPlan(allocations, k, r), report
+    return stitch(parts), SplitPlan(allocations), report
 
 
 # --- hybrid (QAOA) variants -------------------------------------------------

@@ -29,7 +29,7 @@ import jsonschema
 from .adversary import TamperMode, TamperSpec
 from .backend import BackendModel, NoiseModel
 from .benchmarks import builtin
-from .circuit import Circuit
+from .circuit import Circuit, CircuitError
 from .defense import (
     SELECTION_ORDER,
     adaptive_split,
@@ -39,7 +39,7 @@ from .defense import (
 )
 from .metrics import pm, ranked, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
-from .qasm import parse_qasm
+from .qasm import QasmError, parse_qasm
 from .rng import derive_seed
 from .simulator import clean_distribution, execute, resolve_tamper, run_statevector
 
@@ -244,8 +244,11 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             source = path.read_text()
         except OSError as exc:
             raise ConfigError(f"/workload/qasm: cannot read {path}: {exc}")
-        circuit = parse_qasm(source, name=path.stem)
-        correct, _ = top_outcome(run_statevector(circuit))
+        try:
+            circuit = parse_qasm(source, name=path.stem)
+            correct, _ = top_outcome(run_statevector(circuit))
+        except (QasmError, CircuitError) as exc:
+            raise ConfigError(f"/workload/qasm: {path}: {exc}")
         return Workload("sample", circuit.name, circuit, correct)
     spec = raw["qaoa"]
     if "edges" in spec:
@@ -547,16 +550,38 @@ def _cell_seed(config: ExperimentConfig, t, shots, seed) -> int:
     )
 
 
-def _sort_key(record: dict):
-    t = record["t"]
-    return (
-        record["workload"],
-        record["defense"],
-        -1.0 if t is None else float(t),
-        record["shots"],
-        record["seed"],
-        record["backend"],
-    )
+def _order_key(values) -> tuple:
+    """Sort key over field values: None first, then natural order."""
+    return tuple((v is not None, v) for v in values)
+
+
+_RECORD_ORDER = ("workload", "defense", "t", "shots", "seed", "backend")
+
+
+def _sort_key(record: dict) -> tuple:
+    return _order_key(record[f] for f in _RECORD_ORDER)
+
+
+def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
+    """(key, records) pairs over the records `where` accepts, grouped by
+    the values of `fields` and sorted by key (None first, numbers as
+    numbers)."""
+    groups: dict[tuple, list[dict]] = {}
+    for record in records:
+        if where is None or where(record):
+            groups.setdefault(tuple(record[f] for f in fields), []).append(record)
+    return sorted(groups.items(), key=lambda kv: _order_key(kv[0]))
+
+
+def _numeric(records, field) -> list:
+    # skips missing fields and PM's "inf" sentinel
+    return [r[field] for r in records if isinstance(r.get(field), (int, float))]
+
+
+def field_mean(records, field) -> float | None:
+    """Mean of the numeric values of `field`; None if there are none."""
+    values = _numeric(records, field)
+    return statistics.fmean(values) if values else None
 
 
 def run_experiment(
@@ -622,46 +647,19 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 _SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")
-
-
-def _group_stats(group: list[dict]) -> dict:
-    out: dict = {"n_seeds": len(group)}
-    for metric in _SUMMARY_METRICS:
-        values = [
-            r[metric]
-            for r in group
-            if isinstance(r.get(metric), (int, float))
-        ]
-        if not values:
-            continue
-        out[f"{metric}_mean"] = statistics.fmean(values)
-        out[f"{metric}_std"] = statistics.pstdev(values) if len(values) > 1 else 0.0
-    return out
+_SUMMARY_GROUP = ("workload", "defense", "backend", "t", "shots")
 
 
 def summarize(records: list[dict]) -> list[dict]:
     """Mean/std over seeds per (workload, defense, backend, t, shots)."""
-    groups: dict[tuple, list[dict]] = {}
-    for record in records:
-        key = (
-            record["workload"],
-            record["defense"],
-            record["backend"],
-            record["t"],
-            record["shots"],
-        )
-        groups.setdefault(key, []).append(record)
     rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
-        workload, defense, backend, t, shots = key
-        row = {
-            "workload": workload,
-            "defense": defense,
-            "backend": backend,
-            "t": t,
-            "shots": shots,
-        }
-        row.update(_group_stats(groups[key]))
+    for key, group in group_by(records, _SUMMARY_GROUP):
+        row = dict(zip(_SUMMARY_GROUP, key), n_seeds=len(group))
+        for metric in _SUMMARY_METRICS:
+            mean = field_mean(group, metric)
+            if mean is not None:
+                row[f"{metric}_mean"] = mean
+                row[f"{metric}_std"] = statistics.pstdev(_numeric(group, metric))
         rows.append(row)
     return rows
 

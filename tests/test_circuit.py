@@ -23,6 +23,14 @@ def test_instruction_rejects_duplicate_qubits():
         Instruction(GateKind.CX, (2, 2))
 
 
+def test_empty_barrier_rejected():
+    # it would serialize as "barrier ;", which the QASM parser rejects
+    with pytest.raises(CircuitError):
+        Instruction(GateKind.BARRIER, ())
+    (barrier,) = CircuitBuilder(3).gate(GateKind.BARRIER).build().instructions
+    assert barrier.qubits == (0, 1, 2)
+
+
 def test_instruction_param_count():
     Instruction(GateKind.RZ, (0,), (0.5,))
     with pytest.raises(CircuitError):

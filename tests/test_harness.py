@@ -313,6 +313,33 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# each is valid QASM syntax but not a valid circuit, or not a supported gate
+BAD_QASM = {
+    "unknown_gate": "qreg q[2]; creg c[2]; foo q[0]; measure q -> c;",
+    "duplicate_qubit": "qreg q[2]; creg c[2]; cx q[0],q[0]; measure q -> c;",
+    "duplicate_barrier": "qreg q[2]; creg c[2]; barrier q,q[0]; measure q -> c;",
+    "too_wide": "qreg q[30]; creg c[1]; measure q[0] -> c[0];",
+    "gate_after_measure": "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];",
+}
+
+
+@pytest.mark.parametrize("source", BAD_QASM.values(), ids=list(BAD_QASM))
+def test_cli_run_bad_qasm_is_config_error(tmp_path, capsys, source):
+    (tmp_path / "t.qasm").write_text(source)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(workload={"qasm": "t.qasm"})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: /workload/qasm:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", BAD_QASM.values(), ids=list(BAD_QASM))
+def test_cli_parse_bad_qasm_exits_1(tmp_path, capsys, source):
+    path = tmp_path / "t.qasm"
+    path.write_text(source)
+    assert main(["parse", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config(seeds=[0])))

@@ -2,8 +2,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtrust.circuit import GateKind
+from qtrust.circuit import Circuit, GateKind, Instruction
 from qtrust.qasm import (
     QasmIndexError,
     QasmSyntaxError,
@@ -178,3 +180,45 @@ def test_round_trip_float_params_exact():
     circuit = parse_qasm(source)
     again = parse_qasm(circuit_to_qasm(circuit))
     assert circuit.instructions == again.instructions
+
+
+@st.composite
+def circuits(draw):
+    """Valid circuits over every gate kind, barriers and measurements."""
+    n = draw(st.integers(1, 5))
+    clbits = draw(st.integers(0, 5))
+    kinds = [
+        k for k in GateKind
+        if k is GateKind.BARRIER or (k is not GateKind.MEASURE and k.arity <= n)
+    ]
+    angles = st.floats(allow_nan=False, allow_infinity=False)
+    instructions = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        qubits = draw(st.permutations(range(n)))
+        width = draw(st.integers(1, n)) if kind is GateKind.BARRIER else kind.arity
+        params = tuple(draw(angles) for _ in range(kind.num_params))
+        instructions.append(Instruction(kind, tuple(qubits[:width]), params))
+    # distinct qubits onto distinct clbits, anywhere in the program
+    measured = draw(st.integers(0, min(n, clbits)))
+    qubits = draw(st.permutations(range(n)))[:measured]
+    targets = draw(st.permutations(range(clbits)))[:measured]
+    for q, c in zip(qubits, targets):
+        at = draw(st.integers(0, len(instructions)))
+        instructions.insert(at, Instruction(GateKind.MEASURE, (q,), clbit=c))
+    return Circuit(n, clbits, tuple(instructions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+def test_round_trip_property(circuit):
+    assert parse_qasm(circuit_to_qasm(circuit)) == circuit
+
+
+@pytest.mark.parametrize("angle", [-0.0, 5e-324, 1e20, -1.5e-7])
+def test_round_trip_edge_params(angle):
+    circuit = Circuit(1, 0, (Instruction(GateKind.RZ, (0,), (angle,)),))
+    again = parse_qasm(circuit_to_qasm(circuit))
+    assert again == circuit
+    assert math.copysign(1.0, again.instructions[0].params[0]) == math.copysign(
+        1.0, angle
+    )
