@@ -75,9 +75,9 @@ def _cmd_run(args) -> int:
     return 1 if errors else 0
 
 
-def _defense(mode, *fields):
-    """Record filter: the given defense mode, carrying every field."""
-    return lambda r: r["defense"] == mode and all(f in r for f in fields)
+def _defense(mode, field="defense"):
+    """Record filter: the given defense mode, carrying `field`."""
+    return lambda r: r["defense"] == mode and field in r
 
 
 def _means(fields, metrics, where):
@@ -123,12 +123,13 @@ def _rows_table3(records):
     """Per-backend probe fingerprints from adaptive runs."""
     rows = []
     for key, g in group_by(records, _CELL, _defense("adaptive", "probe")):
+        cell = dict(zip(_CELL, key))
         for r in g:
             probe = r["probe"]
             for bp in sorted(probe["backends"], key=lambda bp: bp["name"]):
                 rows.append(
                     {
-                        **dict(zip(_CELL, key)),
+                        **cell,
                         "backend": bp["name"],
                         "repeatable": bp["repeatable"],
                         "run_tops": " ".join(bp["run_tops"]),
@@ -145,11 +146,12 @@ def _rows_table6(records):
     """Adaptive QAOA: probe ARs and selection per t."""
     rows = []
     for key, g in group_by(records, _CELL, _defense("qaoa_adaptive")):
+        cell = dict(zip(_CELL, key))
         for r in g:
             for name, ars in sorted(r["probe_ars"].items()):
                 rows.append(
                     {
-                        **dict(zip(_CELL, key)),
+                        **cell,
                         "backend": name,
                         "probe_ars": " ".join(f"{a:.4f}" for a in ars),
                         "selected": r["selected"] == name,

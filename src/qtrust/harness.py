@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -550,15 +551,15 @@ def _cell_seed(config: ExperimentConfig, t, shots, seed) -> int:
     )
 
 
-def _order_key(values) -> tuple:
+def _order_key(values) -> list:
     """Sort key over field values: None first, then natural order."""
-    return tuple((v is not None, v) for v in values)
+    return [(v is not None, v) for v in values]
 
 
 _RECORD_ORDER = ("workload", "defense", "t", "shots", "seed", "backend")
 
 
-def _sort_key(record: dict) -> tuple:
+def _sort_key(record: dict) -> list:
     return _order_key(record[f] for f in _RECORD_ORDER)
 
 
@@ -566,10 +567,12 @@ def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
     """(key, records) pairs over the records `where` accepts, grouped by
     the values of `fields` and sorted by key (None first, numbers as
     numbers)."""
+    get = operator.itemgetter(*fields)
+    key = get if len(fields) > 1 else lambda record: (get(record),)
     groups: dict[tuple, list[dict]] = {}
     for record in records:
         if where is None or where(record):
-            groups.setdefault(tuple(record[f] for f in fields), []).append(record)
+            groups.setdefault(key(record), []).append(record)
     return sorted(groups.items(), key=lambda kv: _order_key(kv[0]))
 
 
@@ -656,10 +659,12 @@ def summarize(records: list[dict]) -> list[dict]:
     for key, group in group_by(records, _SUMMARY_GROUP):
         row = dict(zip(_SUMMARY_GROUP, key), n_seeds=len(group))
         for metric in _SUMMARY_METRICS:
-            mean = field_mean(group, metric)
-            if mean is not None:
-                row[f"{metric}_mean"] = mean
-                row[f"{metric}_std"] = statistics.pstdev(_numeric(group, metric))
+            values = _numeric(group, metric)
+            if not values:
+                continue
+            row[f"{metric}_mean"] = statistics.fmean(values)
+            # pstdev works in exact fractions; skip it for a single value
+            row[f"{metric}_std"] = statistics.pstdev(values) if len(values) > 1 else 0.0
         rows.append(row)
     return rows
 

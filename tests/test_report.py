@@ -11,7 +11,7 @@ import statistics
 import pytest
 
 from qtrust.cli import main
-from qtrust.harness import group_by, read_jsonl
+from qtrust.harness import field_mean, group_by, read_jsonl
 
 T_SWEEP = [0.1, 0.5]
 SHOTS_SWEEP = [200, 1000, 10000]  # str order would be 1000, 10000, 200
@@ -294,3 +294,9 @@ def test_group_by_sorts_none_first_and_numbers_numerically():
     assert [len(g) for _, g in groups] == [1, 1, 2, 1]
     filtered = group_by(records, ("t",), where=lambda r: r["shots"] == 200)
     assert [(key, len(g)) for key, g in filtered] == [((0.1,), 1), ((0.5,), 2)]
+
+
+def test_field_mean_skips_the_inf_sentinel_and_missing_fields():
+    records = [{"pm": "inf"}, {"pm": 2.0}, {}, {"pm": 4}]
+    assert field_mean(records, "pm") == 3.0
+    assert field_mean(records[:1], "pm") is None
