@@ -100,7 +100,8 @@ _CELL = ("workload", "t", "shots", "seed")
 def _rows_fig12(records):
     """Adaptive split: selection rate and mean shot share per backend."""
     rows = []
-    for (wl, t), g in group_by(records, ("workload", "t"), _defense("adaptive")):
+    fields = ("workload", "t", "shots")
+    for key, g in group_by(records, fields, _defense("adaptive")):
         allocations = [dict(r["allocations"]) for r in g]
         pm_mean = field_mean(g, "pm")
         for name in sorted({name for a in allocations for name in a}):
@@ -108,8 +109,7 @@ def _rows_fig12(records):
             selected = sum(r.get("selected") == name for r in g)
             rows.append(
                 {
-                    "workload": wl,
-                    "t": t,
+                    **dict(zip(fields, key)),
                     "backend": name,
                     "mean_shot_share": statistics.fmean(shares),
                     "selection_rate": selected / len(g),
@@ -177,7 +177,9 @@ _REPORTS = {
     ),
     "fig8": _SHOTS,
     # equal-split PM/TVD vs t
-    "fig11": _means(("workload", "t"), ("pm", "tvd_vs_ideal"), _defense("equal")),
+    "fig11": _means(
+        ("workload", "t", "shots"), ("pm", "tvd_vs_ideal"), _defense("equal")
+    ),
     "fig12": _rows_fig12,
     "table2": _SHOTS,
     "table3": _rows_table3,

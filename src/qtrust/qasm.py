@@ -9,33 +9,18 @@ reset are rejected.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from typing import NamedTuple
 
-from .circuit import Circuit, GateKind, Instruction
+from .circuit import MAX_QUBITS, CapacityExceeded, Circuit, GateKind, Instruction
 
+# a gate's QASM name is its GateKind value, plus the U/u and CX spellings
 _PRIMITIVES = {
-    "h": GateKind.H,
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "u1": GateKind.U1,
-    "u2": GateKind.U2,
-    "u3": GateKind.U3,
-    "u": GateKind.U3,
-    "U": GateKind.U3,
-    "cx": GateKind.CX,
-    "CX": GateKind.CX,
-    "cz": GateKind.CZ,
-    "swap": GateKind.SWAP,
-    "ccx": GateKind.CCX,
-}
+    kind.value: kind
+    for kind in GateKind
+    if kind not in (GateKind.BARRIER, GateKind.MEASURE)
+} | {"u": GateKind.U3, "U": GateKind.U3, "CX": GateKind.CX}
 
 _FUNCTIONS = {
     "sin": math.sin,
@@ -46,17 +31,26 @@ _FUNCTIONS = {
     "sqrt": math.sqrt,
 }
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,  # raises instead of returning a complex for (-8)^(1/3)
+}
+
 _MAX_EXPANSION_DEPTH = 32
+_MAX_EXPR_DEPTH = 64
 
 
 class QasmError(ValueError):
-    pass
-
-
-class QasmSyntaxError(QasmError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class QasmSyntaxError(QasmError):
+    pass
 
 
 class UnsupportedGateError(QasmError):
@@ -81,14 +75,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind, text, line):
-        self.kind, self.text, self.line = kind, text, line
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, line {self.line})"
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -108,17 +98,53 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-class _GateDef:
-    __slots__ = ("params", "qargs", "body")
+class _GateDef(NamedTuple):
+    params: list[str]
+    qargs: list[str]
+    body: list[tuple]  # (name, exprs, qarg names, line) per call
 
-    def __init__(self, params, qargs, body):
-        self.params, self.qargs, self.body = params, qargs, body
+
+def _eval(node, env: dict[str, float]) -> float:
+    tag = node[0]
+    if tag == "num":
+        return node[1]
+    if tag == "var":
+        _, name, line = node
+        if name not in env:
+            raise QasmSyntaxError(f"unknown parameter {name!r}", line)
+        return env[name]
+    if tag == "neg":
+        return -_eval(node[1], env)
+    if tag == "fn":
+        return _FUNCTIONS[node[1]](_eval(node[2], env))
+    _, first, rest = node  # "ops": first (op operand)*, left to right
+    value = _eval(first, env)
+    for op, operand in rest:
+        value = _BINARY[op](value, _eval(operand, env))
+    return value
+
+
+def _evaluate(exprs, env: dict[str, float]) -> tuple[float, ...]:
+    """Evaluate (line, ast) parameter expressions to finite floats."""
+    values = []
+    for line, node in exprs:
+        try:
+            value = _eval(node, env)
+        except QasmError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise QasmSyntaxError(f"cannot evaluate expression: {exc}", line) from None
+        if not math.isfinite(value):
+            raise QasmSyntaxError(f"expression evaluates to {value}", line)
+        values.append(value)
+    return tuple(values)
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # expression nesting, bounded by _MAX_EXPR_DEPTH
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}
         self.gatedefs: dict[str, _GateDef] = {}
@@ -126,16 +152,21 @@ class _Parser:
 
     # --- token plumbing -------------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> str | None:
+        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
 
     def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             last = self.tokens[-1].line if self.tokens else 1
             raise QasmSyntaxError("unexpected end of input", last)
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def _accept(self, text: str) -> bool:
+        if self._peek() != text:
+            return False
+        self.pos += 1
+        return True
 
     def _expect(self, text: str) -> _Token:
         tok = self._next()
@@ -149,31 +180,68 @@ class _Parser:
             raise QasmSyntaxError(f"expected identifier, found {tok.text!r}", tok.line)
         return tok
 
+    def _expect_name(self) -> str:
+        return self._expect_id().text
+
+    def _expect_int(self, what: str) -> tuple[int, int]:
+        tok = self._next()
+        if tok.kind != "number" or not tok.text.isdecimal():
+            raise QasmSyntaxError(f"{what} must be an integer", tok.line)
+        try:
+            return int(tok.text), tok.line
+        except ValueError:  # more digits than int() converts
+            raise QasmSyntaxError(f"{what} is too large", tok.line) from None
+
+    def _parse_list(self, item) -> list:
+        """item ("," item)*"""
+        items = [item()]
+        while self._accept(","):
+            items.append(item())
+        return items
+
+    def _parse_paren_list(self, item) -> list:
+        """("(" (item ("," item)*)? ")")?"""
+        if not self._accept("("):
+            return []
+        items = [] if self._peek() == ")" else self._parse_list(item)
+        self._expect(")")
+        return items
+
     # --- expressions ----------------------------------------------------
 
+    def _parse_param(self):
+        """One parameter expression as (line it starts on, ast)."""
+        start = self.pos
+        node = self._parse_expr()
+        return self.tokens[start].line, node
+
     def _parse_expr(self):
-        node = self._parse_term()
-        while self._peek() is not None and self._peek().text in ("+", "-"):
-            op = self._next().text
-            node = ("bin", op, node, self._parse_term())
-        return node
+        return self._parse_ops(("+", "-"), self._parse_term)
 
     def _parse_term(self):
-        node = self._parse_factor()
-        while self._peek() is not None and self._peek().text in ("*", "/"):
-            op = self._next().text
-            node = ("bin", op, node, self._parse_factor())
-        return node
+        return self._parse_ops(("*", "/"), self._parse_factor)
+
+    def _parse_ops(self, ops, operand):
+        """operand (op operand)*, left-associative, as one flat node."""
+        first = operand()
+        rest = []
+        while self._peek() in ops:
+            rest.append((self._next().text, operand()))
+        return ("ops", first, rest) if rest else first
 
     def _parse_factor(self):
-        tok = self._peek()
-        if tok is not None and tok.text == "-":
-            self._next()
-            return ("neg", self._parse_factor())
-        node = self._parse_atom()
-        if self._peek() is not None and self._peek().text == "^":
-            self._next()
-            node = ("bin", "^", node, self._parse_factor())
+        """"-" factor | atom ("^" factor)?, at most _MAX_EXPR_DEPTH deep."""
+        if self.depth == _MAX_EXPR_DEPTH:
+            line = self.tokens[self.pos - 1].line
+            raise QasmSyntaxError("expression nested too deeply", line)
+        self.depth += 1
+        if self._accept("-"):
+            node = ("neg", self._parse_factor())
+        else:
+            node = self._parse_atom()
+            if self._accept("^"):
+                node = ("ops", node, [("^", self._parse_factor())])
+        self.depth -= 1
         return node
 
     def _parse_atom(self):
@@ -195,38 +263,10 @@ class _Parser:
             return inner
         raise QasmSyntaxError(f"unexpected token {tok.text!r} in expression", tok.line)
 
-    @staticmethod
-    def _eval(node, env: dict[str, float]) -> float:
-        tag = node[0]
-        if tag == "num":
-            return node[1]
-        if tag == "var":
-            _, name, line = node
-            if name not in env:
-                raise QasmSyntaxError(f"unknown parameter {name!r}", line)
-            return env[name]
-        if tag == "neg":
-            return -_Parser._eval(node[1], env)
-        if tag == "fn":
-            return _FUNCTIONS[node[1]](_Parser._eval(node[2], env))
-        _, op, left, right = node
-        a, b = _Parser._eval(left, env), _Parser._eval(right, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return a**b
-
     # --- statements -----------------------------------------------------
 
     def parse_program(self) -> None:
-        tok = self._peek()
-        if tok is not None and tok.text == "OPENQASM":
-            self._next()
+        if self._accept("OPENQASM"):
             version = self._next()
             if version.text != "2.0":
                 raise QasmSyntaxError(
@@ -237,98 +277,66 @@ class _Parser:
             self._parse_statement()
 
     def _parse_statement(self) -> None:
-        tok = self._peek()
+        tok = self._next()
         if tok.text == "include":
-            self._next()
             name = self._next()
             if name.kind != "string":
                 raise QasmSyntaxError("include expects a string", name.line)
             self._expect(";")
-            return
-        if tok.text in ("qreg", "creg"):
-            self._parse_register(tok.text)
-            return
-        if tok.text == "gate":
+        elif tok.text in ("qreg", "creg"):
+            self._parse_register(self.qregs if tok.text == "qreg" else self.cregs)
+        elif tok.text == "gate":
             self._parse_gatedef()
-            return
-        if tok.text == "measure":
+        elif tok.text == "measure":
             self._parse_measure()
-            return
-        if tok.text == "barrier":
+        elif tok.text == "barrier":
             self._parse_barrier()
-            return
-        if tok.text in ("if", "reset", "opaque"):
+        elif tok.text in ("if", "reset", "opaque"):
             raise QasmSyntaxError(f"unsupported statement {tok.text!r}", tok.line)
-        if tok.kind == "id":
-            self._parse_application()
-            return
-        raise QasmSyntaxError(f"unexpected token {tok.text!r}", tok.line)
+        elif tok.kind == "id":
+            self._parse_application(tok)
+        else:
+            raise QasmSyntaxError(f"unexpected token {tok.text!r}", tok.line)
 
-    def _parse_register(self, which: str) -> None:
-        self._next()
+    def _parse_register(self, table) -> None:
         name = self._expect_id()
         self._expect("[")
-        size_tok = self._next()
-        if size_tok.kind != "number" or "." in size_tok.text:
-            raise QasmSyntaxError("register size must be an integer", size_tok.line)
-        size = int(size_tok.text)
+        size, line = self._expect_int("register size")
         if size < 1:
-            raise QasmSyntaxError("register size must be positive", size_tok.line)
+            raise QasmSyntaxError("register size must be positive", line)
         self._expect("]")
         self._expect(";")
-        table = self.qregs if which == "qreg" else self.cregs
         if name.text in self.qregs or name.text in self.cregs:
             raise QasmSyntaxError(f"register {name.text!r} redefined", name.line)
         offset = sum(s for _, s in table.values())
+        if table is self.qregs and offset + size > MAX_QUBITS:
+            # the same guard Circuit applies, before any instruction is built
+            raise CapacityExceeded(
+                f"{offset + size} qubits exceeds the {MAX_QUBITS}-qubit guard"
+            )
         table[name.text] = (offset, size)
 
     def _parse_gatedef(self) -> None:
-        self._next()
         name = self._expect_id()
         if name.text in self.gatedefs or name.text in _PRIMITIVES:
             raise QasmSyntaxError(f"gate {name.text!r} redefined", name.line)
-        params: list[str] = []
-        if self._peek() is not None and self._peek().text == "(":
-            self._next()
-            if self._peek().text != ")":
-                params.append(self._expect_id().text)
-                while self._peek().text == ",":
-                    self._next()
-                    params.append(self._expect_id().text)
-            self._expect(")")
-        qargs = [self._expect_id().text]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            qargs.append(self._expect_id().text)
+        params = self._parse_paren_list(self._expect_name)
+        qargs = self._parse_list(self._expect_name)
         self._expect("{")
         body = []
-        while self._peek() is not None and self._peek().text != "}":
-            tok = self._peek()
-            if tok.text == "barrier":
-                self._next()
-                while self._peek().text != ";":
+        while self._peek() not in ("}", None):
+            if self._accept("barrier"):  # no effect inside a macro: skip to ";"
+                while not self._accept(";"):
                     self._next()
-                self._expect(";")
-                continue
-            body.append(self._parse_body_call(params, qargs))
+            else:
+                body.append(self._parse_body_call(qargs))
         self._expect("}")
         self.gatedefs[name.text] = _GateDef(params, qargs, body)
 
-    def _parse_body_call(self, params, qargs):
+    def _parse_body_call(self, qargs):
         name = self._expect_id()
-        exprs = []
-        if self._peek() is not None and self._peek().text == "(":
-            self._next()
-            if self._peek().text != ")":
-                exprs.append(self._parse_expr())
-                while self._peek().text == ",":
-                    self._next()
-                    exprs.append(self._parse_expr())
-            self._expect(")")
-        args = [self._expect_id()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            args.append(self._expect_id())
+        exprs = self._parse_paren_list(self._parse_param)
+        args = self._parse_list(self._expect_id)
         self._expect(";")
         for arg in args:
             if arg.text not in qargs:
@@ -338,165 +346,88 @@ class _Parser:
         if name.text not in _PRIMITIVES and name.text not in self.gatedefs:
             # covers recursion: a gate cannot reference itself or later names
             raise UnsupportedGateError(
-                f"line {name.line}: gate body uses unsupported gate {name.text!r}"
+                f"gate body uses unsupported gate {name.text!r}", name.line
             )
         return (name.text, exprs, [a.text for a in args], name.line)
 
-    def _parse_qubit_arg(self):
-        """Return (reg_name, index_or_None, line) after validation."""
+    def _parse_arg(self, table, kind: str):
+        """ID ("[" int "]")? in `table`: (its bits as a range, bare?, line)."""
         name = self._expect_id()
-        if name.text not in self.qregs:
-            raise QasmSyntaxError(f"unknown quantum register {name.text!r}", name.line)
-        index = None
-        if self._peek() is not None and self._peek().text == "[":
-            self._next()
-            idx_tok = self._next()
-            if idx_tok.kind != "number" or "." in idx_tok.text:
-                raise QasmSyntaxError("index must be an integer", idx_tok.line)
-            index = int(idx_tok.text)
-            self._expect("]")
-            offset, size = self.qregs[name.text]
-            if index >= size:
-                raise QasmIndexError(
-                    f"line {idx_tok.line}: {name.text}[{index}] out of bounds "
-                    f"(size {size})"
-                )
-        return (name.text, index, name.line)
-
-    def _flatten(self, reg: str, index: int) -> int:
-        offset, _ = self.qregs[reg]
-        return offset + index
-
-    def _broadcast(self, args, line) -> list[list[int]]:
-        """Expand register arguments into per-instruction qubit index lists."""
-        sizes = {self.qregs[r][1] for r, idx, _ in args if idx is None}
-        if not sizes:
-            return [[self._flatten(r, idx) for r, idx, _ in args]]
-        if len(sizes) > 1:
-            raise QasmSyntaxError("mismatched register sizes in broadcast", line)
-        width = sizes.pop()
-        rows = []
-        for i in range(width):
-            rows.append(
-                [
-                    self._flatten(r, idx if idx is not None else i)
-                    for r, idx, _ in args
-                ]
+        if name.text not in table:
+            raise QasmSyntaxError(f"unknown {kind} register {name.text!r}", name.line)
+        offset, size = table[name.text]
+        if not self._accept("["):
+            return range(offset, offset + size), True, name.line
+        index, line = self._expect_int("index")
+        self._expect("]")
+        if index >= size:
+            raise QasmIndexError(
+                f"{name.text}[{index}] out of bounds (size {size})", line
             )
-        return rows
+        return range(offset + index, offset + index + 1), False, name.line
 
-    def _parse_application(self) -> None:
-        name = self._expect_id()
-        exprs = []
-        if self._peek() is not None and self._peek().text == "(":
-            self._next()
-            if self._peek().text != ")":
-                exprs.append(self._parse_expr())
-                while self._peek().text == ",":
-                    self._next()
-                    exprs.append(self._parse_expr())
-            self._expect(")")
-        args = [self._parse_qubit_arg()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            args.append(self._parse_qubit_arg())
+    def _parse_qubit(self):
+        return self._parse_arg(self.qregs, "quantum")
+
+    def _parse_application(self, name: _Token) -> None:
+        exprs = self._parse_paren_list(self._parse_param)
+        args = self._parse_list(self._parse_qubit)
         self._expect(";")
-        params = [self._eval(e, {}) for e in exprs]
-        for qubits in self._broadcast(args, name.line):
+        params = _evaluate(exprs, {})
+        # a bare register broadcasts the gate over its qubits
+        sizes = {len(bits) for bits, bare, _ in args if bare}
+        if len(sizes) > 1:
+            raise QasmSyntaxError("mismatched register sizes in broadcast", name.line)
+        for i in range(sizes.pop() if sizes else 1):
+            qubits = [bits[i] if bare else bits[0] for bits, bare, _ in args]
             self._emit_call(name.text, params, qubits, name.line, depth=0)
 
     def _emit_call(self, name, params, qubits, line, depth) -> None:
         if depth > _MAX_EXPANSION_DEPTH:
-            raise UnsupportedGateError(f"line {line}: gate expansion too deep")
+            raise UnsupportedGateError("gate expansion too deep", line)
         if name == "id":
             return
-        if name in _PRIMITIVES:
-            kind = _PRIMITIVES[name]
-            if len(params) != kind.num_params:
-                raise QasmSyntaxError(
-                    f"{name} expects {kind.num_params} parameter(s)", line
-                )
-            if len(qubits) != kind.arity:
-                raise QasmSyntaxError(
-                    f"{name} expects {kind.arity} qubit argument(s)", line
-                )
-            self.instructions.append(
-                Instruction(kind, tuple(qubits), tuple(float(p) for p in params))
-            )
-            return
-        if name not in self.gatedefs:
-            raise UnsupportedGateError(f"line {line}: unsupported gate {name!r}")
-        gdef = self.gatedefs[name]
-        if len(params) != len(gdef.params):
-            raise QasmSyntaxError(f"{name} expects {len(gdef.params)} parameter(s)", line)
-        if len(qubits) != len(gdef.qargs):
+        kind, gdef = _PRIMITIVES.get(name), self.gatedefs.get(name)
+        if kind is None and gdef is None:
+            raise UnsupportedGateError(f"unsupported gate {name!r}", line)
+        if kind is not None:
+            num_params, num_qubits = kind.num_params, kind.arity
+        else:
+            num_params, num_qubits = len(gdef.params), len(gdef.qargs)
+        if len(params) != num_params:
+            raise QasmSyntaxError(f"{name} expects {num_params} parameter(s)", line)
+        if len(qubits) != num_qubits:
             raise QasmSyntaxError(
-                f"{name} expects {len(gdef.qargs)} qubit argument(s)", line
+                f"{name} expects {num_qubits} qubit argument(s)", line
             )
+        if kind is not None:
+            self.instructions.append(Instruction(kind, tuple(qubits), params))
+            return
         env = dict(zip(gdef.params, params))
         qmap = dict(zip(gdef.qargs, qubits))
         for sub_name, sub_exprs, sub_args, sub_line in gdef.body:
-            sub_params = [self._eval(e, env) for e in sub_exprs]
+            sub_params = _evaluate(sub_exprs, env)
             sub_qubits = [qmap[a] for a in sub_args]
             self._emit_call(sub_name, sub_params, sub_qubits, sub_line, depth + 1)
 
     def _parse_barrier(self) -> None:
-        line = self._next().line
-        args = [self._parse_qubit_arg()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._next()
-            args.append(self._parse_qubit_arg())
+        qubits = [q for bits, _, _ in self._parse_list(self._parse_qubit) for q in bits]
         self._expect(";")
-        qubits = []
-        for reg, idx, _ in args:
-            offset, size = self.qregs[reg]
-            if idx is None:
-                qubits.extend(range(offset, offset + size))
-            else:
-                qubits.append(offset + idx)
         self.instructions.append(Instruction(GateKind.BARRIER, tuple(qubits)))
 
     def _parse_measure(self) -> None:
-        self._next()
-        q_name, q_idx, line = self._parse_qubit_arg()
+        qubits, q_bare, line = self._parse_qubit()
         arrow = self._next()
         if arrow.text != "->":
             raise QasmSyntaxError("measure expects '->'", arrow.line)
-        c_name = self._expect_id()
-        if c_name.text not in self.cregs:
-            raise QasmSyntaxError(
-                f"unknown classical register {c_name.text!r}", c_name.line
-            )
-        c_idx = None
-        if self._peek() is not None and self._peek().text == "[":
-            self._next()
-            idx_tok = self._next()
-            if idx_tok.kind != "number" or "." in idx_tok.text:
-                raise QasmSyntaxError("index must be an integer", idx_tok.line)
-            c_idx = int(idx_tok.text)
-            self._expect("]")
-            c_off, c_size = self.cregs[c_name.text]
-            if c_idx >= c_size:
-                raise QasmIndexError(
-                    f"line {idx_tok.line}: {c_name.text}[{c_idx}] out of bounds "
-                    f"(size {c_size})"
-                )
+        clbits, c_bare, _ = self._parse_arg(self.cregs, "classical")
         self._expect(";")
-        q_off, q_size = self.qregs[q_name]
-        c_off, c_size = self.cregs[c_name.text]
-        if (q_idx is None) != (c_idx is None):
+        if q_bare != c_bare:
             raise QasmSyntaxError("measure mixes register and single-bit forms", line)
-        if q_idx is None:
-            if q_size != c_size:
-                raise QasmSyntaxError("measure register sizes differ", line)
-            for i in range(q_size):
-                self.instructions.append(
-                    Instruction(GateKind.MEASURE, (q_off + i,), clbit=c_off + i)
-                )
-        else:
-            self.instructions.append(
-                Instruction(GateKind.MEASURE, (q_off + q_idx,), clbit=c_off + c_idx)
-            )
+        if len(qubits) != len(clbits):
+            raise QasmSyntaxError("measure register sizes differ", line)
+        for q, c in zip(qubits, clbits):
+            self.instructions.append(Instruction(GateKind.MEASURE, (q,), clbit=c))
 
     def circuit(self, name: str = "") -> Circuit:
         num_qubits = sum(s for _, s in self.qregs.values())

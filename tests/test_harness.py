@@ -313,13 +313,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# each is valid QASM syntax but not a valid circuit, or not a supported gate
+# each is not a valid circuit, not a supported gate, or malformed QASM
 BAD_QASM = {
     "unknown_gate": "qreg q[2]; creg c[2]; foo q[0]; measure q -> c;",
     "duplicate_qubit": "qreg q[2]; creg c[2]; cx q[0],q[0]; measure q -> c;",
     "duplicate_barrier": "qreg q[2]; creg c[2]; barrier q,q[0]; measure q -> c;",
     "too_wide": "qreg q[30]; creg c[1]; measure q[0] -> c[0];",
     "gate_after_measure": "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];",
+    "division_by_zero": "qreg q[1]; creg c[1]; rx(1/0) q[0]; measure q -> c;",
+    "infinite_angle": "qreg q[1]; creg c[1]; rx(1e400) q[0]; measure q -> c;",
+    "unclosed_params": "qreg q[1]; creg c[1]; x(",
+    "float_index": "qreg q[1]; creg c[1]; x q[1e0]; measure q -> c;",
 }
 
 

@@ -1,12 +1,20 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrust.circuit import Circuit, GateKind, Instruction
+from qtrust.circuit import (
+    CapacityExceeded,
+    Circuit,
+    CircuitError,
+    GateKind,
+    Instruction,
+)
 from qtrust.qasm import (
+    QasmError,
     QasmIndexError,
     QasmSyntaxError,
     UnsupportedGateError,
@@ -222,3 +230,172 @@ def test_round_trip_edge_params(angle):
     assert math.copysign(1.0, again.instructions[0].params[0]) == math.copysign(
         1.0, angle
     )
+
+
+DEEP = 3000
+BAD_EXPRESSIONS = {
+    "division_by_zero": "1/0",
+    "log_of_negative": "ln(-1)",
+    "sqrt_of_negative": "sqrt(-1)",
+    "power_overflow": "2.0^2000",
+    "exp_overflow": "exp(1000)",
+    "fractional_power_of_negative": "(-8)^(1/3)",
+    "infinite_literal": "1e400",
+    "nan": "1e400 - 1e400",
+    "nested_parentheses": "(" * DEEP + "1" + ")" * DEEP,
+    "unary_minuses": "-" * DEEP + "1",
+    "power_chain": "^".join(["1"] * DEEP),
+}
+
+
+@pytest.mark.parametrize("expr", BAD_EXPRESSIONS.values(), ids=list(BAD_EXPRESSIONS))
+def test_bad_expression_is_a_syntax_error_at_its_line(expr):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(f"qreg q[1];\nrx({expr}) q[0];")
+    assert err.value.line == 2
+
+
+def test_bad_expression_in_gate_body_reports_the_body_line():
+    source = "gate inv(a) b {\n  rx(1/a) b;\n}\nqreg q[1];\ninv(0) q[0];"
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(source)
+    assert err.value.line == 2
+
+
+def test_long_sums_and_shallow_nesting_evaluate():
+    terms = "+".join(["1"] * DEEP)
+    nested = "(" * 40 + "-2^2" + ")" * 40
+    circuit = parse_qasm(f"qreg q[1]; u2({terms}, {nested}) q[0];")
+    assert circuit.instructions[0].params == (float(DEEP), -4.0)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x(", "gate g(", "gate g a { x(", "gate g a { barrier a", "qreg q[2]; x q["],
+)
+def test_end_of_input_is_a_syntax_error(source):
+    with pytest.raises(QasmSyntaxError, match="unexpected end of input"):
+        parse_qasm(source)
+
+
+@pytest.mark.parametrize("index", ["1e3", "1e0", "1.0"])
+def test_index_must_be_plain_digits(index):
+    with pytest.raises(QasmSyntaxError, match="index must be an integer"):
+        parse_qasm(f"qreg q[2]; x q[{index}];")
+
+
+def test_huge_index_is_a_qasm_error():
+    with pytest.raises(QasmError):  # past int()'s digit limit, where it has one
+        parse_qasm("qreg q[2]; x q[" + "9" * 5000 + "];")
+
+
+def test_every_error_carries_its_line():
+    cases = [
+        ("qreg q[2];\nx q[5];", QasmIndexError, 2),
+        ("qreg q[1];\n\nfoo q[0];", UnsupportedGateError, 3),
+        ("gate g a {\n  bar a;\n}", UnsupportedGateError, 2),
+    ]
+    for source, kind, line in cases:
+        with pytest.raises(kind) as err:
+            parse_qasm(source)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_register_capacity_checked_at_declaration():
+    # raised at the declaration, before the unknown gate that follows it
+    with pytest.raises(CapacityExceeded, match="25 qubits exceeds the 24-qubit"):
+        parse_qasm("qreg q[20]; qreg r[5]; foo q[0];")
+    # so no instruction of a huge broadcast is ever built
+    with pytest.raises(CapacityExceeded, match="100000000 qubits"):
+        parse_qasm("qreg q[100000000]; creg c[100000000]; h q; measure q -> c;")
+    assert parse_qasm("qreg q[24]; creg c[100];").num_qubits == 24
+
+
+# --- robustness: malformed input raises QasmError or CircuitError -------
+
+MACRO_SOURCE = """OPENQASM 2.0;
+include "qelib1.inc";
+gate rot(theta, phi) a { rx(theta) a; barrier a; rz(-phi^2 / 2 + sin(theta)) a; }
+gate pair(theta) a, b { rot(theta, pi) a; cx a, b; rot(2*theta, ln(2)) b; }
+qreg q[3];
+qreg r[3];
+creg c[3];
+creg d[1];
+pair(pi/4) q, r;
+barrier q, r[1];
+u3(0.1, -0.2, 1e-3) q[2];
+measure r -> c;
+measure q[0] -> d[0];
+"""
+
+FUZZ_SOURCES = [
+    (DATA / "bell.qasm").read_text(),
+    (DATA / "qft4.qasm").read_text(),
+    MACRO_SOURCE,
+]
+
+# a token split independent of the parser's own tokenizer
+_TOKEN = re.compile(r'//[^\n]*|"[^"]*"|->|\d*\.?\d+(?:[eE][+-]?\d+)?|\w+|\S')
+
+
+def _parses_or_rejects(source):
+    """The contract callers rely on: a Circuit, QasmError or CircuitError."""
+    try:
+        parse_qasm(source)
+    except (QasmError, CircuitError):
+        pass
+
+
+def test_fuzz_sources_parse():
+    for source in FUZZ_SOURCES:
+        parse_qasm(source)
+
+
+@pytest.mark.parametrize("index", range(len(FUZZ_SOURCES)))
+def test_every_token_prefix_parses_or_rejects(index):
+    source = FUZZ_SOURCES[index]
+    ends = [m.end() for m in _TOKEN.finditer(source)]
+    assert len(ends) > 20
+    for end in ends:
+        _parses_or_rejects(source[:end])
+
+
+@pytest.mark.parametrize("index", range(len(FUZZ_SOURCES)))
+def test_every_single_token_replacement_parses_or_rejects(index):
+    source = FUZZ_SOURCES[index]
+    for m in _TOKEN.finditer(source):
+        for word in ("0", "1e400", "-", "(", ";"):
+            _parses_or_rejects(source[: m.start()] + word + source[m.end() :])
+
+
+VOCABULARY = (
+    "( ) [ ] { } ; , -> ^ / - * + 0 1 1e3 1e400 pi ln sqrt gate barrier measure "
+    "q r c a x cx rot cu1 qreg creg"
+).split()
+
+
+@st.composite
+def mutated_sources(draw):
+    """A fuzz source with tokens deleted, duplicated, swapped or replaced."""
+    source = draw(st.sampled_from(FUZZ_SOURCES))
+    tokens = [t for t in _TOKEN.findall(source) if not t.startswith("//")]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(VOCABULARY))
+    return " ".join(tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_sources())
+def test_mutated_sources_parse_or_reject(source):
+    _parses_or_rejects(source)

@@ -43,6 +43,15 @@ CONFIGS = {
         "defense": {"mode": "equal"},
         "seeds": [0, 1, 2],
     },
+    "equal_shots": {
+        "workload": {"builtin": "toffoli_n3"},
+        "backends": SAMPLE_BACKENDS,
+        "shots": 1000,
+        "t_sweep": T_SWEEP,
+        "shots_sweep": [1000, 400],
+        "defense": {"mode": "equal"},
+        "seeds": [0, 1],
+    },
     "adaptive": {
         "workload": {"builtin": "toffoli_n3"},
         "backends": SAMPLE_BACKENDS,
@@ -74,6 +83,7 @@ CONFIGS = {
 TABLES = {
     "none": {"fig6", "fig8", "table2"},
     "equal": {"fig11"},
+    "equal_shots": {"fig11"},
     "adaptive": {"fig12", "table3"},
     "qaoa_split": {"table5"},
     "qaoa_adaptive": {"table6"},
@@ -90,8 +100,8 @@ HEADERS = {
     "fig6": "workload,backend,t,pm_mean,tvd_vs_ideal_mean,tvd_vs_clean_mean",
     "fig8": "workload,backend,t,shots,pm_mean,tvd_vs_ideal_mean",
     "table2": "workload,backend,t,shots,pm_mean,tvd_vs_ideal_mean",
-    "fig11": "workload,t,pm_mean,tvd_vs_ideal_mean",
-    "fig12": "workload,t,backend,mean_shot_share,selection_rate,pm_mean",
+    "fig11": "workload,t,shots,pm_mean,tvd_vs_ideal_mean",
+    "fig12": "workload,t,shots,backend,mean_shot_share,selection_rate,pm_mean",
     "table3": (
         "workload,t,shots,seed,backend,repeatable,run_tops,mean_pm,"
         "mean_inter_run_tvd,mean_confidence,voted_answer"
@@ -222,20 +232,39 @@ def test_fig11_mean_over_seeds(runs):
     assert float(rows[1]["pm_mean"]) == statistics.fmean(r["pm"] for r in group)
 
 
+def test_fig11_one_row_per_shot_budget(runs):
+    run = runs["equal_shots"]
+    _, rows = run.tables["fig11"]
+    assert [(r["t"], r["shots"]) for r in rows] == [
+        ("0.1", "400"), ("0.1", "1000"), ("0.5", "400"), ("0.5", "1000")
+    ]
+    for shots in (400, 1000):
+        row = next(r for r in rows if (r["t"], r["shots"]) == ("0.5", str(shots)))
+        group = _select(run.records, t=0.5, shots=shots)
+        assert len(group) == 2
+        assert float(row["pm_mean"]) == statistics.fmean(r["pm"] for r in group)
+
+
 def test_fig12_selection_rate_and_shot_share(runs):
     run = runs["adaptive"]
     _, rows = run.tables["fig12"]
-    assert len(rows) == len(T_SWEEP) * 2
+    assert len(rows) == len(T_SWEEP) * 2 * 2  # t x shot budget x backend
     for t in ("0.1", "0.5"):
-        block = [r for r in rows if r["t"] == t]
-        assert [r["backend"] for r in block] == ["hw_a", "hw_b"]
-        assert sum(float(r["selection_rate"]) for r in block) == pytest.approx(1.0)
-    group = _select(run.records, t=0.5)
-    hw_b = next(r for r in rows if (r["t"], r["backend"]) == ("0.5", "hw_b"))
-    shares = [dict(r["allocations"])["hw_b"] / r["shots"] for r in group]
-    assert float(hw_b["mean_shot_share"]) == statistics.fmean(shares)
-    selected = sum(r["selected"] == "hw_b" for r in group)
-    assert float(hw_b["selection_rate"]) == selected / len(group)
+        for shots in ("400", "1000"):
+            block = [r for r in rows if (r["t"], r["shots"]) == (t, shots)]
+            assert [r["backend"] for r in block] == ["hw_a", "hw_b"]
+            total = sum(float(r["selection_rate"]) for r in block)
+            assert total == pytest.approx(1.0)
+    for shots in (400, 1000):
+        group = _select(run.records, t=0.5, shots=shots)
+        hw_b = next(
+            r for r in rows
+            if (r["t"], r["shots"], r["backend"]) == ("0.5", str(shots), "hw_b")
+        )
+        shares = [dict(r["allocations"])["hw_b"] / shots for r in group]
+        assert float(hw_b["mean_shot_share"]) == statistics.fmean(shares)
+        selected = sum(r["selected"] == "hw_b" for r in group)
+        assert float(hw_b["selection_rate"]) == selected / len(group)
 
 
 def test_table3_one_row_per_cell_and_backend(runs):
