@@ -22,13 +22,13 @@ import operator
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import jsonschema
 
 from .adversary import TamperMode, TamperSpec
-from .backend import BackendModel, NoiseModel
+from .backend import BackendModel, NoiseError, NoiseModel
 from .benchmarks import builtin
 from .circuit import Circuit, CircuitError
 from .defense import (
@@ -37,6 +37,7 @@ from .defense import (
     equal_split,
     qaoa_adaptive,
     qaoa_iteration_split,
+    select_backend,
 )
 from .metrics import pm, ranked, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
@@ -200,6 +201,7 @@ class Workload:
     name: str
     circuit: Circuit | None = None
     correct: str | None = None
+    ideal: dict[str, float] | None = None  # noise-free distribution
     graph: Graph | None = None
     qaoa: QaoaConfig | None = None
 
@@ -238,7 +240,10 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             bench = builtin(raw["builtin"])
         except KeyError:
             raise ConfigError(f"/workload/builtin: unknown builtin {raw['builtin']!r}")
-        return Workload("sample", bench.name, bench.circuit, bench.expected_output)
+        ideal = run_statevector(bench.circuit)
+        return Workload(
+            "sample", bench.name, bench.circuit, bench.expected_output, ideal
+        )
     if "qasm" in raw:
         path = base_dir / raw["qasm"]
         try:
@@ -247,10 +252,11 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             raise ConfigError(f"/workload/qasm: cannot read {path}: {exc}")
         try:
             circuit = parse_qasm(source, name=path.stem)
-            correct, _ = top_outcome(run_statevector(circuit))
+            ideal = run_statevector(circuit)
         except (QasmError, CircuitError) as exc:
             raise ConfigError(f"/workload/qasm: {path}: {exc}")
-        return Workload("sample", circuit.name, circuit, correct)
+        correct, _ = top_outcome(ideal)
+        return Workload("sample", circuit.name, circuit, correct, ideal)
     spec = raw["qaoa"]
     if "edges" in spec:
         graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
@@ -261,9 +267,7 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
     else:
         raise ConfigError("/workload/qaoa: needs either edges or degree")
     config = QaoaConfig(
-        p=spec.get("p", 1),
-        iterations=spec.get("iterations", 50),
-        shots_per_iter=spec.get("shots_per_iter", 50),
+        **{f.name: spec[f.name] for f in fields(QaoaConfig) if f.name in spec}
     )
     name = f"qaoa_n{graph.n}"
     return Workload("qaoa", name, graph=graph, qaoa=config)
@@ -290,6 +294,19 @@ def _build_backend(raw: dict) -> BackendModel:
         tamper=tamper,
         drift=raw.get("drift", DEFAULT_DRIFT),
     )
+
+
+def _check_readout(backends, workload: Workload) -> None:
+    """Every backend needs a readout pair for every measured qubit."""
+    if workload.kind == "qaoa":
+        last = workload.graph.n - 1
+    else:
+        last = max(q for q, _ in workload.circuit.measured_pairs)
+    for i, backend in enumerate(backends):
+        try:
+            backend.noise.pair_for(last)
+        except NoiseError as exc:
+            raise ConfigError(f"/backends/{i}/readout: {exc}")
 
 
 def load_config(source: dict | str | Path, base_dir: Path | None = None) -> ExperimentConfig:
@@ -321,15 +338,12 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         raise ConfigError("/backends: backend names must be unique")
     workload = _build_workload(raw["workload"], base_dir)
 
-    defense_raw = raw.get("defense", {"mode": "none"})
-    defense = DefenseSpec(
-        mode=defense_raw["mode"],
-        k=defense_raw.get("k", 50),
-        r=defense_raw.get("r", 2),
-        order=tuple(defense_raw["order"]) if "order" in defense_raw else None,
-        probe_iterations=defense_raw.get("probe_iterations", 5),
-        probe_runs=defense_raw.get("probe_runs", 2),
-    )
+    _check_readout(backends, workload)
+
+    defense_raw = dict(raw.get("defense", {"mode": "none"}))
+    if "order" in defense_raw:
+        defense_raw["order"] = tuple(defense_raw["order"])
+    defense = DefenseSpec(**defense_raw)
     if defense.mode in ("equal", "adaptive", "qaoa_split", "qaoa_adaptive"):
         if len(backends) < 2:
             raise ConfigError(f"/defense/mode: {defense.mode} needs >= 2 backends")
@@ -397,80 +411,15 @@ def _finite(x: float) -> float | str:
     return x if math.isfinite(x) else "inf"
 
 
-def _sample_metrics(
-    counts, correct: str, ideal, clean_mix, record: dict
-) -> None:
-    top, confidence = top_outcome(counts)
-    record.update(
-        pm=_finite(pm(counts, correct)),
-        tvd_vs_ideal=tvd(counts, ideal),
-        tvd_vs_clean=tvd(counts, clean_mix),
-        top_outcome=top,
-        confidence=confidence,
-        correct=correct,
-        top_counts=_top_counts(counts),
-        shots_in_answer=sum(counts.values()),
-    )
-
-
-def _clean_mixture(backends, allocations, circuit) -> dict[str, float]:
+def _clean_mixture(clean: dict[str, dict], allocations) -> dict[str, float]:
     total = sum(s for _, s in allocations if s > 0)
     mix: dict[str, float] = {}
-    by_name = {b.name: b for b in backends}
     for name, share in allocations:
         if share <= 0:
             continue
-        dist = clean_distribution(by_name[name], circuit)
-        for key, p in dist.items():
+        for key, p in clean[name].items():
             mix[key] = mix.get(key, 0.0) + p * share / total
     return mix
-
-
-def _run_sample_cell(config: ExperimentConfig, t, shots, seed, cell_seed) -> list[dict]:
-    wl = config.workload
-    backends = _with_t(config.backends, t)
-    ideal = run_statevector(wl.circuit)
-    defense = config.defense
-    records = []
-    if defense.mode == "none":
-        for backend in backends:
-            start = time.perf_counter()
-            resolved = resolve_tamper(backend, wl.circuit, cell_seed)
-            counts = execute(resolved, wl.circuit, shots, cell_seed)
-            record = _base_record(config, t, shots, seed, backend.name)
-            _sample_metrics(
-                counts,
-                wl.correct,
-                ideal,
-                clean_distribution(backend, wl.circuit),
-                record,
-            )
-            record["wall_time_s"] = time.perf_counter() - start
-            records.append(record)
-        return records
-
-    start = time.perf_counter()
-    record = _base_record(config, t, shots, seed, "+".join(b.name for b in backends))
-    if defense.mode == "equal":
-        counts, plan = equal_split(backends, wl.circuit, shots, cell_seed)
-        record["allocations"] = list(plan.allocations)
-    else:  # adaptive
-        counts, plan, report = adaptive_split(
-            backends,
-            wl.circuit,
-            shots,
-            k=defense.k,
-            r=defense.r,
-            seed=cell_seed,
-            order=defense.order,
-        )
-        record["allocations"] = list(plan.allocations)
-        record["probe"] = _probe_summary(report)
-        record["selected"] = max(plan.allocations, key=lambda kv: kv[1])[0]
-    clean_mix = _clean_mixture(backends, record["allocations"], wl.circuit)
-    _sample_metrics(counts, wl.correct, ideal, clean_mix, record)
-    record["wall_time_s"] = time.perf_counter() - start
-    return [record]
 
 
 def _qaoa_record_fields(record: dict, run) -> None:
@@ -483,52 +432,89 @@ def _qaoa_record_fields(record: dict, run) -> None:
     )
 
 
-def _run_qaoa_cell(config: ExperimentConfig, t, shots, seed, cell_seed) -> list[dict]:
-    wl = config.workload
-    backends = _with_t(config.backends, t)
-    defense = config.defense
-    qcfg = wl.qaoa
-    records = []
-    if defense.mode == "none":
-        for backend in backends:
-            start = time.perf_counter()
+def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) -> None:
+    """Run one backend group under the config's defense mode and write that
+    mode's fields into `record`."""
+    wl, defense = config.workload, config.defense
+    if wl.kind == "qaoa":
+        qcfg = wl.qaoa
+        if defense.mode == "none":
+            (backend,) = backends
             run = optimize(
-                backend, wl.graph, qcfg.p, qcfg.iterations, qcfg.shots_per_iter,
-                cell_seed,
+                backend, wl.graph, qcfg.p, qcfg.iterations, qcfg.shots_per_iter, seed
             )
-            record = _base_record(config, t, shots, seed, backend.name)
             _qaoa_record_fields(record, run)
-            record["wall_time_s"] = time.perf_counter() - start
-            records.append(record)
-        return records
+        elif defense.mode == "qaoa_split":
+            split = qaoa_iteration_split(backends[0], backends[1], wl.graph, qcfg, seed)
+            record.update(
+                ar=split.ar,
+                cmax=split.cmax,
+                phase_a_ar=split.phase_a.ar,
+                phase_b_ar=split.phase_b.ar,
+            )
+        else:  # qaoa_adaptive
+            result = qaoa_adaptive(
+                backends,
+                wl.graph,
+                qcfg,
+                probe_iterations=defense.probe_iterations,
+                probe_runs=defense.probe_runs,
+                seed=seed,
+            )
+            record["selected"] = result.selected
+            record["probe_ars"] = {k: list(v) for k, v in result.probe_ars.items()}
+            _qaoa_record_fields(record, result.final)
+            record["ar"] = result.ar
+        return
 
-    start = time.perf_counter()
-    record = _base_record(config, t, shots, seed, "+".join(b.name for b in backends))
-    if defense.mode == "qaoa_split":
-        split = qaoa_iteration_split(
-            backends[0], backends[1], wl.graph, qcfg, cell_seed
-        )
-        record.update(
-            ar=split.ar,
-            cmax=split.cmax,
-            phase_a_ar=split.phase_a.ar,
-            phase_b_ar=split.phase_b.ar,
-        )
-    else:  # qaoa_adaptive
-        result = qaoa_adaptive(
-            backends,
-            wl.graph,
-            qcfg,
-            probe_iterations=defense.probe_iterations,
-            probe_runs=defense.probe_runs,
-            seed=cell_seed,
-        )
-        record["selected"] = result.selected
-        record["probe_ars"] = {k: list(v) for k, v in result.probe_ars.items()}
-        _qaoa_record_fields(record, result.final)
-        record["ar"] = result.ar
-    record["wall_time_s"] = time.perf_counter() - start
-    return [record]
+    if defense.mode == "none":
+        (backend,) = backends
+        resolved = resolve_tamper(backend, wl.circuit, seed)
+        counts = execute(resolved, wl.circuit, shots, seed)
+        clean_mix = clean[backend.name]
+    else:
+        if defense.mode == "equal":
+            counts, plan = equal_split(backends, wl.circuit, shots, seed)
+        else:  # adaptive
+            counts, plan, report = adaptive_split(
+                backends,
+                wl.circuit,
+                shots,
+                k=defense.k,
+                r=defense.r,
+                seed=seed,
+                order=defense.order,
+            )
+            record["probe"] = _probe_summary(report)
+            record["selected"] = select_backend(report, defense.order)
+        record["allocations"] = list(plan.allocations)
+        clean_mix = _clean_mixture(clean, plan.allocations)
+    top, confidence = top_outcome(counts)
+    record.update(
+        pm=_finite(pm(counts, wl.correct)),
+        tvd_vs_ideal=tvd(counts, wl.ideal),
+        tvd_vs_clean=tvd(counts, clean_mix),
+        top_outcome=top,
+        confidence=confidence,
+        correct=wl.correct,
+        top_counts=_top_counts(counts),
+        shots_in_answer=sum(counts.values()),
+    )
+
+
+def _run_cell(config: ExperimentConfig, t, shots, seed, clean) -> list[dict]:
+    """One record per backend under `none`, else one for the whole cell."""
+    backends = _with_t(config.backends, t)
+    groups = [[b] for b in backends] if config.defense.mode == "none" else [backends]
+    cell_seed = _cell_seed(config, t, shots, seed)
+    records = []
+    for group in groups:
+        start = time.perf_counter()
+        record = _base_record(config, t, shots, seed, "+".join(b.name for b in group))
+        _fill(config, group, shots, cell_seed, clean, record)
+        record["wall_time_s"] = time.perf_counter() - start
+        records.append(record)
+    return records
 
 
 def _base_record(config: ExperimentConfig, t, shots, seed, backend: str) -> dict:
@@ -594,7 +580,13 @@ def run_experiment(
 
     Records come back sorted by cell key, independent of scheduling.
     """
-    runner = _run_sample_cell if config.workload.kind == "sample" else _run_qaoa_cell
+    wl = config.workload
+    # cell-invariant: ignores t, seed, drift and tampering
+    clean = (
+        {b.name: clean_distribution(b, wl.circuit) for b in config.backends}
+        if wl.kind == "sample"
+        else {}
+    )
     cells = [
         (t, shots, seed)
         for t in config.t_sweep
@@ -603,34 +595,20 @@ def run_experiment(
     ]
 
     def one(cell):
-        t, shots, seed = cell
-        return runner(config, t, shots, seed, _cell_seed(config, t, shots, seed))
+        try:
+            return _run_cell(config, *cell, clean), None
+        except Exception as exc:  # noqa: BLE001 - cell isolation
+            t, shots, seed = cell
+            return [], f"cell t={t} shots={shots} seed={seed}: {exc}"
 
-    records: list[dict] = []
-    errors: list[str] = []
     if jobs <= 1:
-        outcomes = []
-        for cell in cells:
-            try:
-                outcomes.append((cell, one(cell), None))
-            except Exception as exc:  # noqa: BLE001 - cell isolation
-                outcomes.append((cell, None, exc))
+        outcomes = list(map(one, cells))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(cell, pool.submit(one, cell)) for cell in cells]
-            outcomes = []
-            for cell, future in futures:
-                try:
-                    outcomes.append((cell, future.result(), None))
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append((cell, None, exc))
-    for cell, result, exc in outcomes:
-        if exc is not None:
-            errors.append(f"cell t={cell[0]} shots={cell[1]} seed={cell[2]}: {exc}")
-        else:
-            records.extend(result)
+            outcomes = list(pool.map(one, cells))
+    records = [record for result, _ in outcomes for record in result]
     records.sort(key=_sort_key)
-    return records, errors
+    return records, [error for _, error in outcomes if error is not None]
 
 
 def write_jsonl(records: list[dict], path: str | Path) -> None:

@@ -41,6 +41,7 @@ _BINARY = {
 
 _MAX_EXPANSION_DEPTH = 32
 _MAX_EXPR_DEPTH = 64
+MAX_INSTRUCTIONS = 100_000  # per circuit, after macro expansion
 
 
 class QasmError(ValueError):
@@ -102,6 +103,7 @@ class _GateDef(NamedTuple):
     params: list[str]
     qargs: list[str]
     body: list[tuple]  # (name, exprs, qarg names, line) per call
+    size: int  # instructions one application expands to
 
 
 def _eval(node, env: dict[str, float]) -> float:
@@ -331,7 +333,8 @@ class _Parser:
             else:
                 body.append(self._parse_body_call(qargs))
         self._expect("}")
-        self.gatedefs[name.text] = _GateDef(params, qargs, body)
+        size = sum(self._size(call[0]) for call in body)
+        self.gatedefs[name.text] = _GateDef(params, qargs, body, size)
 
     def _parse_body_call(self, qargs):
         name = self._expect_id()
@@ -378,9 +381,23 @@ class _Parser:
         sizes = {len(bits) for bits, bare, _ in args if bare}
         if len(sizes) > 1:
             raise QasmSyntaxError("mismatched register sizes in broadcast", name.line)
-        for i in range(sizes.pop() if sizes else 1):
+        repeats = sizes.pop() if sizes else 1
+        total = len(self.instructions) + repeats * self._size(name.text)
+        if total > MAX_INSTRUCTIONS:
+            # checked before any instruction of the application is built
+            raise CapacityExceeded(
+                f"line {name.line}: {name.text} would take the circuit to {total} "
+                f"instructions, past the {MAX_INSTRUCTIONS}-instruction guard"
+            )
+        for i in range(repeats):
             qubits = [bits[i] if bare else bits[0] for bits, bare, _ in args]
             self._emit_call(name.text, params, qubits, name.line, depth=0)
+
+    def _size(self, name: str) -> int:
+        """Instructions one call of `name` builds (0 if it is unknown)."""
+        if name in self.gatedefs:
+            return self.gatedefs[name].size
+        return int(name in _PRIMITIVES)  # "id" is no primitive: it builds nothing
 
     def _emit_call(self, name, params, qubits, line, depth) -> None:
         if depth > _MAX_EXPANSION_DEPTH:

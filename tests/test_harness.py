@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qtrust import harness
 from qtrust.cli import main
 from qtrust.harness import (
     ConfigError,
@@ -105,6 +106,31 @@ def test_config_defense_backend_counts():
     cfg["backends"] = cfg["backends"][:1]
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+# a per-qubit readout list must cover every measured qubit: the three of
+# toffoli_n3, all four nodes of the QAOA graph
+SHORT_READOUT = {
+    "builtin": ({"builtin": "toffoli_n3"}, 2),
+    "qaoa": ({"qaoa": {"nodes": 4, "degree": 2, "iterations": 10}}, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, pairs", SHORT_READOUT.values(), ids=list(SHORT_READOUT)
+)
+def test_short_per_qubit_readout_is_config_error(tmp_path, capsys, workload, pairs):
+    cfg = base_config(workload=workload)
+    cfg["backends"][1]["readout"] = [[0.01, 0.02]] * pairs
+    with pytest.raises(ConfigError, match=f"^/backends/1/readout: .*qubit {pairs}$"):
+        load_config(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: /backends/1/readout:" in capsys.readouterr().err
+
+    cfg["backends"][1]["readout"] = [[0.01, 0.02]] * (pairs + 1)
+    assert load_config(cfg).backends[1].noise.pair_for(pairs) == (0.01, 0.02)
 
 
 def test_config_from_file(tmp_path):
@@ -216,6 +242,51 @@ def test_adaptive_defense_with_order():
     )
     records, _ = run_experiment(config)
     assert all("selected" in r for r in records)
+
+
+def test_adaptive_selected_is_probe_winner_without_main_phase():
+    # 200 shots = 2 backends x r=2 x k=50: equal shares, no main phase;
+    # the answer is the winner's probe counts, and the record names it
+    config = load_config(
+        base_config(
+            backends=[
+                {"name": "a_rogue", "tamper": {"mode": "targeted", "t": 0.5}},
+                {"name": "b_honest"},
+            ],
+            shots=200,
+            seeds=[0, 1, 2],
+            defense={"mode": "adaptive"},
+        )
+    )
+    records, errors = run_experiment(config)
+    assert not errors and len(records) == 3
+    for r in records:
+        assert r["allocations"] == [("a_rogue", 100), ("b_honest", 100)]
+        assert r["selected"] == "b_honest"
+        assert r["shots_in_answer"] == 100
+
+
+def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):
+    config = load_config(
+        base_config(t_sweep=[0.1, 0.3], seeds=[0, 1], defense={"mode": "equal"})
+    )
+    calls = {"clean_distribution": 0, "run_statevector": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    records, errors = run_experiment(config, jobs=2)
+    assert not errors and len(records) == 4
+    # once per backend, not per cell; the ideal comes from load_config
+    assert calls == {"clean_distribution": 2, "run_statevector": 0}
 
 
 def test_qaoa_none_defense():

@@ -1,11 +1,13 @@
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtrust import qasm
 from qtrust.circuit import (
     CapacityExceeded,
     Circuit,
@@ -310,6 +312,33 @@ def test_register_capacity_checked_at_declaration():
     with pytest.raises(CapacityExceeded, match="100000000 qubits"):
         parse_qasm("qreg q[100000000]; creg c[100000000]; h q; measure q -> c;")
     assert parse_qasm("qreg q[24]; creg c[100];").num_qubits == 24
+
+
+def _doubling_macros(levels: int) -> str:
+    """Gate g{levels} expands to 2^(levels + 1) x instructions."""
+    lines = ["qreg q[1];", "gate g0 a { x a; x a; }"]
+    for i in range(1, levels + 1):
+        lines.append(f"gate g{i} a {{ g{i - 1} a; g{i - 1} a; }}")
+    return "\n".join(lines + [f"g{levels} q[0];"])
+
+
+def test_macro_expansion_capped_before_building():
+    # 131 072 instructions: raised at the application's line, not built
+    with pytest.raises(CapacityExceeded, match="line 19: g16 would take"):
+        parse_qasm(_doubling_macros(16))
+    # 2^32 instructions: fails at once instead of running for hours
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="100000-instruction guard"):
+        parse_qasm(_doubling_macros(31))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_instruction_cap_counts_the_whole_circuit(monkeypatch):
+    monkeypatch.setattr(qasm, "MAX_INSTRUCTIONS", 6)
+    macro = "gate two a { x a; x a; } qreg q[2]; "
+    assert len(parse_qasm(macro + "two q; id q; h q[0]; h q[1];").instructions) == 6
+    with pytest.raises(CapacityExceeded, match="line 1: h would take the circuit to 7"):
+        parse_qasm(macro + "two q; h q; h q[0];")
 
 
 # --- robustness: malformed input raises QasmError or CircuitError -------
