@@ -42,9 +42,11 @@ from .qasm import circuit_to_qasm, parse_qasm
 from .rng import derive_rng, derive_seed
 from .simulator import (
     Counts,
+    Prepared,
     apply_readout_channel,
     clean_distribution,
     execute,
+    prepare,
     resolve_tamper,
     run_statevector,
     sample_counts,

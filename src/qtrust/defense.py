@@ -20,7 +20,7 @@ from .circuit import Circuit
 from .metrics import pm, stitch, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, QaoaRunRecord, optimize
 from .rng import derive_seed
-from .simulator import Counts, execute, resolve_tamper
+from .simulator import Counts, Prepared, execute, prepare, resolve_tamper
 
 
 class DefenseError(ValueError):
@@ -75,7 +75,7 @@ def _check_backends(backends: list[BackendModel]) -> None:
 
 
 def equal_split(
-    backends: list[BackendModel], circuit: Circuit, shots: int, seed: int
+    backends: list[BackendModel], circuit: Circuit | Prepared, shots: int, seed: int
 ) -> tuple[Counts, SplitPlan]:
     """Divide the budget evenly; remainder goes to the first backends."""
     _check_backends(backends)
@@ -84,20 +84,21 @@ def equal_split(
         raise DefenseError("equal split needs at least two backends")
     if shots < m:
         raise InsufficientShots(f"{shots} shots across {m} backends")
+    prepared = prepare(circuit)
     base, extra = divmod(shots, m)
     allocations = []
     parts = []
     for i, backend in enumerate(backends):
         share = base + (1 if i < extra else 0)
-        resolved = resolve_tamper(backend, circuit, seed)
-        parts.append(execute(resolved, circuit, share, derive_seed(seed, "equal")))
+        resolved = resolve_tamper(backend, prepared, seed)
+        parts.append(execute(resolved, prepared, share, derive_seed(seed, "equal")))
         allocations.append((backend.name, share))
     return stitch(parts), SplitPlan(tuple(allocations))
 
 
 def probe(
     backends: list[BackendModel],
-    circuit: Circuit,
+    circuit: Circuit | Prepared,
     k: int = 50,
     r: int = 2,
     seed: int = 0,
@@ -108,11 +109,12 @@ def probe(
         raise DefenseError("probe shots k must be >= 10")
     if r < 2:
         raise DefenseError("probe runs r must be >= 2")
+    prepared = prepare(circuit)
     raw: dict[str, list[Counts]] = {}
     for backend in backends:
-        resolved = resolve_tamper(backend, circuit, seed)
+        resolved = resolve_tamper(backend, prepared, seed)
         raw[backend.name] = [
-            execute(resolved, circuit, k, derive_seed(seed, "probe", j))
+            execute(resolved, prepared, k, derive_seed(seed, "probe", j))
             for j in range(r)
         ]
 
@@ -181,7 +183,7 @@ def select_backend(report: ProbeReport, order: tuple[str, ...] | None = None) ->
 
 def adaptive_split(
     backends: list[BackendModel],
-    circuit: Circuit,
+    circuit: Circuit | Prepared,
     shots: int,
     k: int = 50,
     r: int = 2,
@@ -200,15 +202,16 @@ def adaptive_split(
         raise InsufficientShots(
             f"budget {shots} cannot cover {probe_cost} probe shots"
         )
-    report = probe(backends, circuit, k=k, r=r, seed=seed)
+    prepared = prepare(circuit)
+    report = probe(backends, prepared, k=k, r=r, seed=seed)
     winner = select_backend(report, order)
     remainder = shots - probe_cost
     selected = next(b for b in backends if b.name == winner)
     parts = [run.counts for run in report.for_backend(winner).runs]
     if remainder > 0:
-        resolved = resolve_tamper(selected, circuit, seed)
+        resolved = resolve_tamper(selected, prepared, seed)
         parts.append(
-            execute(resolved, circuit, remainder, derive_seed(seed, "main"))
+            execute(resolved, prepared, remainder, derive_seed(seed, "main"))
         )
     allocations = tuple(
         (b.name, r * k + (remainder if b.name == winner else 0)) for b in backends

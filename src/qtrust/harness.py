@@ -39,11 +39,11 @@ from .defense import (
     qaoa_iteration_split,
     select_backend,
 )
-from .metrics import pm, ranked, top_outcome, tvd
+from .metrics import from_vector, pm, ranked, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
 from .qasm import QasmError, parse_qasm
 from .rng import derive_seed
-from .simulator import clean_distribution, execute, resolve_tamper, run_statevector
+from .simulator import Prepared, clean_distribution, execute, prepare, resolve_tamper
 
 SCHEMA_VERSION = 1
 
@@ -199,11 +199,15 @@ CONFIG_SCHEMA = {
 class Workload:
     kind: str  # "sample" or "qaoa"
     name: str
-    circuit: Circuit | None = None
+    prepared: Prepared | None = None  # circuit and its noise-free vector
     correct: str | None = None
-    ideal: dict[str, float] | None = None  # noise-free distribution
+    ideal: dict[str, float] | None = None  # from_vector(prepared.ideal)
     graph: Graph | None = None
     qaoa: QaoaConfig | None = None
+
+    @property
+    def circuit(self) -> Circuit | None:
+        return None if self.prepared is None else self.prepared.circuit
 
 
 @dataclass(frozen=True)
@@ -240,9 +244,13 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             bench = builtin(raw["builtin"])
         except KeyError:
             raise ConfigError(f"/workload/builtin: unknown builtin {raw['builtin']!r}")
-        ideal = run_statevector(bench.circuit)
+        prepared = prepare(bench.circuit)
         return Workload(
-            "sample", bench.name, bench.circuit, bench.expected_output, ideal
+            "sample",
+            bench.name,
+            prepared,
+            bench.expected_output,
+            from_vector(prepared.ideal),
         )
     if "qasm" in raw:
         path = base_dir / raw["qasm"]
@@ -251,12 +259,12 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
         except OSError as exc:
             raise ConfigError(f"/workload/qasm: cannot read {path}: {exc}")
         try:
-            circuit = parse_qasm(source, name=path.stem)
-            ideal = run_statevector(circuit)
+            prepared = prepare(parse_qasm(source, name=path.stem))
         except (QasmError, CircuitError) as exc:
             raise ConfigError(f"/workload/qasm: {path}: {exc}")
+        ideal = from_vector(prepared.ideal)
         correct, _ = top_outcome(ideal)
-        return Workload("sample", circuit.name, circuit, correct, ideal)
+        return Workload("sample", prepared.circuit.name, prepared, correct, ideal)
     spec = raw["qaoa"]
     if "edges" in spec:
         graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
@@ -469,16 +477,16 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
 
     if defense.mode == "none":
         (backend,) = backends
-        resolved = resolve_tamper(backend, wl.circuit, seed)
-        counts = execute(resolved, wl.circuit, shots, seed)
+        resolved = resolve_tamper(backend, wl.prepared, seed)
+        counts = execute(resolved, wl.prepared, shots, seed)
         clean_mix = clean[backend.name]
     else:
         if defense.mode == "equal":
-            counts, plan = equal_split(backends, wl.circuit, shots, seed)
+            counts, plan = equal_split(backends, wl.prepared, shots, seed)
         else:  # adaptive
             counts, plan, report = adaptive_split(
                 backends,
-                wl.circuit,
+                wl.prepared,
                 shots,
                 k=defense.k,
                 r=defense.r,
@@ -583,7 +591,7 @@ def run_experiment(
     wl = config.workload
     # cell-invariant: ignores t, seed, drift and tampering
     clean = (
-        {b.name: clean_distribution(b, wl.circuit) for b in config.backends}
+        {b.name: clean_distribution(b, wl.prepared) for b in config.backends}
         if wl.kind == "sample"
         else {}
     )

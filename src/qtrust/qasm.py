@@ -21,6 +21,7 @@ _PRIMITIVES = {
     for kind in GateKind
     if kind not in (GateKind.BARRIER, GateKind.MEASURE)
 } | {"u": GateKind.U3, "U": GateKind.U3, "CX": GateKind.CX}
+_BUILTIN_NAMES = set(_PRIMITIVES) | {"id"}  # id is a no-op: it builds nothing
 
 _FUNCTIONS = {
     "sin": math.sin,
@@ -320,7 +321,7 @@ class _Parser:
 
     def _parse_gatedef(self) -> None:
         name = self._expect_id()
-        if name.text in self.gatedefs or name.text in _PRIMITIVES:
+        if name.text in self.gatedefs or name.text in _BUILTIN_NAMES:
             raise QasmSyntaxError(f"gate {name.text!r} redefined", name.line)
         params = self._parse_paren_list(self._expect_name)
         qargs = self._parse_list(self._expect_name)
@@ -346,7 +347,7 @@ class _Parser:
                 raise QasmSyntaxError(
                     f"unknown qubit argument {arg.text!r} in gate body", arg.line
                 )
-        if name.text not in _PRIMITIVES and name.text not in self.gatedefs:
+        if name.text not in _BUILTIN_NAMES and name.text not in self.gatedefs:
             # covers recursion: a gate cannot reference itself or later names
             raise UnsupportedGateError(
                 f"gate body uses unsupported gate {name.text!r}", name.line

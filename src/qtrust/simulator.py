@@ -6,8 +6,16 @@ probabilities and Counts maps them to shot counts. Keys follow the
 q_{n-1}...q_0 convention; line 0 is the rightmost character. Inside, one
 dense vector indexed by the integer outcome runs through readout and
 tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
+
+``prepare`` is the one place that evolves a noise-free statevector; every
+entry point takes its ``Prepared`` result or a plain circuit. Gate noise
+evolves each distinct Pauli error pattern of a run once (Monte-Carlo
+wavefunction trajectories weighted by how often each pattern was drawn).
 """
 from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +42,41 @@ def _apply_gate(psi: np.ndarray, gate: np.ndarray, axes: list[int]) -> np.ndarra
     return np.moveaxis(psi, range(k), axes)
 
 
-def _evolve(circuit: Circuit, rng=None, depolarizing: float = 0.0) -> np.ndarray:
-    """Run all gates, optionally injecting Pauli errors per gate (one
-    stochastic trajectory). Returns the probability vector of the measured
-    bits, indexed by the integer value of their bitstring."""
+_PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
+
+#: Pauli errors of one trajectory: {instruction index: ((qubit, Pauli), ...)}
+Errors = dict[int, tuple[tuple[int, GateKind], ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A circuit with its noise-free measured-bit vector (read-only).
+
+    Build it with ``prepare``; every stage that runs the same circuit again
+    reads ``ideal`` instead of evolving the statevector.
+    """
+
+    circuit: Circuit
+    ideal: np.ndarray
+
+    def __post_init__(self):
+        # shared by every later stage and cell: a write raises, not corrupts
+        self.ideal.flags.writeable = False
+
+
+def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
+    """Run all gates, applying the Paulis in ``errors`` right after their
+    gate. Returns the probability vector of the measured bits, indexed by
+    the integer value of their bitstring."""
     pairs = circuit.measured_pairs
     if not pairs:
         raise CircuitError("circuit has no measurements")
+    errors = errors or {}
     n = circuit.num_qubits
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     measured: set[int] = set()
-    paulis = [GateKind.X, GateKind.Y, GateKind.Z]
-    for instr in circuit.instructions:
+    for index, instr in enumerate(circuit.instructions):
         if instr.kind is GateKind.BARRIER:
             continue
         if instr.kind is GateKind.MEASURE:
@@ -56,11 +86,8 @@ def _evolve(circuit: Circuit, rng=None, depolarizing: float = 0.0) -> np.ndarray
             raise CircuitError("gate after measurement is unsupported")
         axes = [n - 1 - q for q in instr.qubits]
         psi = _apply_gate(psi, matrix(instr.kind, instr.params), axes)
-        if depolarizing > 0.0 and rng is not None:
-            for q in instr.qubits:
-                if rng.random() < depolarizing:
-                    kind = paulis[rng.integers(3)]
-                    psi = _apply_gate(psi, matrix(kind), [n - 1 - q])
+        for q, kind in errors.get(index, ()):
+            psi = _apply_gate(psi, matrix(kind), [n - 1 - q])
         if __debug__:
             norm = float(np.sum(np.abs(psi) ** 2))
             assert abs(norm - 1.0) < 1e-10, f"norm drifted to {norm}"
@@ -70,18 +97,47 @@ def _evolve(circuit: Circuit, rng=None, depolarizing: float = 0.0) -> np.ndarray
     return np.transpose(probs, front + rest).reshape(2 ** len(front), -1).sum(axis=1)
 
 
-def run_statevector(circuit: Circuit) -> Distribution:
+def prepare(circuit: Circuit | Prepared) -> Prepared:
+    """Evolve the noise-free vector of ``circuit`` once; a ``Prepared``
+    comes back unchanged."""
+    if isinstance(circuit, Prepared):
+        return circuit
+    return Prepared(circuit, _evolve(circuit))
+
+
+def run_statevector(circuit: Circuit | Prepared) -> Distribution:
     """Exact outcome distribution over the measured classical bits."""
-    return from_vector(_evolve(circuit))
+    return from_vector(prepare(circuit).ideal)
+
+
+def _draw_errors(circuit: Circuit, p: float, rng) -> Errors:
+    """One trajectory's Pauli errors: for every (gate, qubit) one
+    ``random()``, and one ``integers(3)`` choosing X, Y or Z per hit."""
+    errors: Errors = {}
+    for index, instr in enumerate(circuit.instructions):
+        if instr.kind in (GateKind.BARRIER, GateKind.MEASURE):
+            continue
+        hits = tuple(
+            (q, _PAULIS[rng.integers(3)]) for q in instr.qubits if rng.random() < p
+        )
+        if hits:
+            errors[index] = hits
+    return errors
 
 
 def _trajectory_vector(
-    circuit: Circuit, depolarizing: float, trajectories: int, rng
+    prepared: Prepared, depolarizing: float, trajectories: int, rng
 ) -> np.ndarray:
-    w = 1.0 / trajectories
+    """Mean of ``trajectories`` Pauli trajectories, evolving each distinct
+    error pattern once and weighting it by how often it was drawn."""
+    drawn = Counter(
+        tuple(_draw_errors(prepared.circuit, depolarizing, rng).items())
+        for _ in range(trajectories)
+    )
     acc = 0.0
-    for _ in range(trajectories):
-        acc += w * _evolve(circuit, rng=rng, depolarizing=depolarizing)
+    for pattern, count in drawn.items():  # first-drawn order
+        vec = _evolve(prepared.circuit, dict(pattern)) if pattern else prepared.ideal
+        acc += (count / trajectories) * vec
     return acc
 
 
@@ -121,17 +177,21 @@ def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
     return [backend.noise.pair_for(q) for q, _ in reversed(ordered)]
 
 
-def _clean_vector(backend: BackendModel, circuit: Circuit) -> np.ndarray:
-    pairs = dict(enumerate(_line_pairs(backend, circuit)))
-    return flip_channel(_evolve(circuit), pairs)
+def _clean_vector(backend: BackendModel, prepared: Prepared) -> np.ndarray:
+    pairs = dict(enumerate(_line_pairs(backend, prepared.circuit)))
+    return flip_channel(prepared.ideal, pairs)
 
 
-def clean_distribution(backend: BackendModel, circuit: Circuit) -> Distribution:
+def clean_distribution(
+    backend: BackendModel, circuit: Circuit | Prepared
+) -> Distribution:
     """Analytic post-readout distribution without drift or tampering."""
-    return from_vector(_clean_vector(backend, circuit))
+    return from_vector(_clean_vector(backend, prepare(circuit)))
 
 
-def resolve_tamper(backend: BackendModel, circuit: Circuit, seed: int) -> BackendModel:
+def resolve_tamper(
+    backend: BackendModel, circuit: Circuit | Prepared, seed: int
+) -> BackendModel:
     """Fill in the tamper target lines once per backend instance.
 
     Targeted mode plans against a privately sampled clean execution;
@@ -140,10 +200,11 @@ def resolve_tamper(backend: BackendModel, circuit: Circuit, seed: int) -> Backen
     spec = backend.tamper
     if spec is None or not spec.needs_resolution:
         return backend
-    width = circuit.num_measured
+    prepared = prepare(circuit)
+    width = prepared.circuit.num_measured
     if spec.mode is TamperMode.TARGETED:
         private = _sample(
-            _clean_vector(backend, circuit),
+            _clean_vector(backend, prepared),
             PLAN_SHOTS,
             derive_seed(seed, backend.name, "tamper-plan"),
         )
@@ -155,17 +216,20 @@ def resolve_tamper(backend: BackendModel, circuit: Circuit, seed: int) -> Backen
     return backend.with_tamper(spec.with_lines(lines))
 
 
-def execute(backend: BackendModel, circuit: Circuit, shots: int, seed: int) -> Counts:
+def execute(
+    backend: BackendModel, circuit: Circuit | Prepared, shots: int, seed: int
+) -> Counts:
     """Full pipeline: statevector -> drift jitter -> readout channel ->
     tamper channel -> multinomial sampling."""
+    prepared = prepare(circuit)
     if backend.noise.gate_depolarizing > 0.0:
         rng = derive_rng(seed, backend.name, "trajectories")
         probs = _trajectory_vector(
-            circuit, backend.noise.gate_depolarizing, shots, rng
+            prepared, backend.noise.gate_depolarizing, shots, rng
         )
     else:
-        probs = _evolve(circuit)
-    pairs = _line_pairs(backend, circuit)
+        probs = prepared.ideal
+    pairs = _line_pairs(backend, prepared.circuit)
     if backend.drift > 0.0:
         rng = derive_rng(seed, backend.name, "drift")
         jitter = rng.uniform(-backend.drift, backend.drift, size=(len(pairs), 2))
@@ -178,6 +242,6 @@ def execute(backend: BackendModel, circuit: Circuit, shots: int, seed: int) -> C
         ]
     probs = flip_channel(probs, dict(enumerate(pairs)))
     if backend.tamper is not None:
-        resolved = resolve_tamper(backend, circuit, seed)
+        resolved = resolve_tamper(backend, prepared, seed)
         probs = flip_channel(probs, resolved.tamper.flips(len(pairs)))
     return _sample(probs, shots, derive_seed(seed, backend.name, "sample"))

@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-The full-unitary oracle builds every gate as an explicit 2^n x 2^n matrix
-by basis-state embedding, deliberately avoiding the tensordot path the
-simulator uses, so the two can cross-check each other. Gate matrices are
-restated here from their textbook definitions instead of being imported.
+The full-unitary, density-matrix and per-shot trajectory oracles build
+every gate as an explicit 2^n x 2^n matrix by basis-state embedding,
+deliberately avoiding the tensordot path the simulator uses, so the two
+can cross-check each other. Gate matrices are restated here from their
+textbook definitions instead of being imported.
 """
 from __future__ import annotations
 
@@ -103,24 +104,88 @@ def embed(num_qubits: int, qubits, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_distribution(circuit) -> dict[str, float]:
-    """Measured-bit probabilities from an explicit full-unitary product."""
+def _gates(circuit):
+    """(qubits, embedded unitary) for every gate, in circuit order."""
     n = circuit.num_qubits
-    unitary = np.eye(2**n, dtype=complex)
     for instr in circuit.instructions:
         name = instr.kind.value
-        if name in ("barrier", "measure"):
-            continue
-        gate = reference_matrix(name, instr.params)
-        unitary = embed(n, instr.qubits, gate) @ unitary
-    psi = unitary[:, 0]
-    probs = np.abs(psi) ** 2
-    pairs = circuit.measured_pairs  # clbit descending = left-to-right
-    out: dict[str, float] = {}
+        if name not in ("barrier", "measure"):
+            gate = reference_matrix(name, instr.params)
+            yield instr.qubits, embed(n, instr.qubits, gate)
+
+
+def _measured(probs: np.ndarray, circuit) -> np.ndarray:
+    """Marginal over the measured bits, indexed by the integer value of the
+    key (clbit descending = left-to-right)."""
+    pairs = circuit.measured_pairs
+    width = len(pairs)
+    out = np.zeros(2**width)
     for index, p in enumerate(probs):
-        key = "".join(str((index >> q) & 1) for q, _ in pairs)
-        out[key] = out.get(key, 0.0) + float(p)
+        bits = [(index >> q) & 1 for q, _ in pairs]
+        out[sum(b << (width - 1 - j) for j, b in enumerate(bits))] += p
     return out
+
+
+def _as_dict(vec: np.ndarray) -> dict[str, float]:
+    width = vec.size.bit_length() - 1
+    return {format(i, f"0{width}b"): float(p) for i, p in enumerate(vec)}
+
+
+def oracle_distribution(circuit) -> dict[str, float]:
+    """Measured-bit probabilities from an explicit full-unitary product."""
+    unitary = np.eye(2**circuit.num_qubits, dtype=complex)
+    for _, gate in _gates(circuit):
+        unitary = gate @ unitary
+    return _as_dict(_measured(np.abs(unitary[:, 0]) ** 2, circuit))
+
+
+def _paulis(n: int) -> list[list[np.ndarray]]:
+    """X, Y and Z on qubit q, embedded, at index q."""
+    return [
+        [embed(n, (q,), reference_matrix(name, ())) for name in "xyz"]
+        for q in range(n)
+    ]
+
+
+def depolarizing_oracle(circuit, p: float) -> dict[str, float]:
+    """Exact measured-bit distribution of the gate-noise model (n <= 6).
+
+    A density matrix evolves as rho -> U rho U^dagger per gate; then, on
+    each qubit the gate touched, the depolarizing channel
+    (1 - p) rho + (p/3) sum_{P in X, Y, Z} P rho P.
+    """
+    n = circuit.num_qubits
+    if n > 6:
+        raise ValueError(f"{n} qubits: the density-matrix oracle is for n <= 6")
+    paulis = _paulis(n)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for qubits, gate in _gates(circuit):
+        rho = gate @ rho @ gate.conj().T
+        for q in qubits:
+            rho = (1.0 - p) * rho + (p / 3.0) * sum(P @ rho @ P for P in paulis[q])
+    return _as_dict(_measured(np.real(np.diag(rho)), circuit))
+
+
+def per_shot_trajectories(circuit, p: float, shots: int, rng) -> np.ndarray:
+    """Mean measured-bit vector of ``shots`` Pauli trajectories, one
+    statevector per shot, drawing errors inline as the simulator's stream
+    does: per (gate, qubit) one ``rng.random()``, and on a hit one
+    ``rng.integers(3)`` picking X, Y or Z, applied right after the gate."""
+    n = circuit.num_qubits
+    gates = list(_gates(circuit))
+    paulis = _paulis(n)
+    acc = np.zeros(2 ** circuit.num_measured)
+    for _ in range(shots):
+        psi = np.zeros(2**n, dtype=complex)
+        psi[0] = 1.0
+        for qubits, gate in gates:
+            psi = gate @ psi
+            for q in qubits:
+                if rng.random() < p:
+                    psi = paulis[q][rng.integers(3)] @ psi
+        acc += _measured(np.abs(psi) ** 2, circuit) / shots
+    return acc
 
 
 def flip_monte_carlo(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qtrust import harness
+from qtrust import harness, simulator
 from qtrust.cli import main
 from qtrust.harness import (
     ConfigError,
@@ -270,7 +270,7 @@ def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):
     config = load_config(
         base_config(t_sweep=[0.1, 0.3], seeds=[0, 1], defense={"mode": "equal"})
     )
-    calls = {"clean_distribution": 0, "run_statevector": 0}
+    calls = {"clean_distribution": 0, "prepare": 0}
 
     def counting(name):
         original = getattr(harness, name)
@@ -286,7 +286,29 @@ def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):
     records, errors = run_experiment(config, jobs=2)
     assert not errors and len(records) == 4
     # once per backend, not per cell; the ideal comes from load_config
-    assert calls == {"clean_distribution": 2, "run_statevector": 0}
+    assert calls == {"clean_distribution": 2, "prepare": 0}
+
+
+@pytest.mark.parametrize("mode", ["none", "equal", "adaptive"])
+def test_run_experiment_reuses_the_prepared_ideal(monkeypatch, mode):
+    # targeted and random-subset tampering both resolve against the ideal
+    backends = base_config()["backends"] + [
+        {"name": "hw_c", "tamper": {"mode": "random_subset", "t": 0.3, "k": 2}}
+    ]
+    config = load_config(
+        base_config(backends=backends, shots=2000, defense={"mode": mode})
+    )
+    calls = [0]
+    original = simulator._evolve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    records, errors = run_experiment(config, jobs=2)
+    assert not errors and records
+    assert calls == [0]  # the statevector was evolved once, by load_config
 
 
 def test_qaoa_none_defense():

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from qtrust.backend import BackendModel, NoiseModel
-from qtrust.circuit import GateKind
+from qtrust.circuit import CapacityExceeded, GateKind
 from qtrust.qaoa import (
     Graph,
     GraphError,
@@ -62,6 +63,20 @@ def test_cmax_known_graphs():
     assert cmax(triangle) == 2
     edge = Graph.from_edges(2, [(0, 1)])
     assert cmax(edge) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cmax_matches_brute_force_over_every_bitstring(n):
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    keys = (format(i, f"0{n}b") for i in range(2**n))
+    assert cmax(graph) == max(cut_value(key, graph) for key in keys)
+
+
+def test_cmax_capacity_guard():
+    with pytest.raises(CapacityExceeded):
+        cmax(Graph.from_edges(25, [(0, 1)]))
 
 
 def test_expectation_shot_weighted():

@@ -158,6 +158,20 @@ def test_id_gate_is_a_no_op():
     assert circuit.gate_count() == 0
 
 
+def test_id_inside_gate_body_is_a_no_op():
+    # qelib1.inc defines id as a gate, so a macro may apply it
+    source = "gate g a { id a; x a; } qreg q[1]; creg c[1]; g q[0]; measure q -> c;"
+    circuit = parse_qasm(source)
+    assert circuit.gate_count() == 1
+    assert run_statevector(circuit)["1"] == pytest.approx(1.0)
+
+
+def test_id_cannot_be_redefined():
+    # a user `id` would be parsed, then silently skipped when applied
+    with pytest.raises(QasmSyntaxError, match="gate 'id' redefined"):
+        parse_qasm("gate id a { x a; } qreg q[1]; id q[0];")
+
+
 def test_u_and_cx_builtin_spellings():
     source = "qreg q[2]; creg c[2]; U(pi,0,pi) q[0]; CX q[0], q[1]; measure q -> c;"
     dist = run_statevector(parse_qasm(source))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,18 +7,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtrust.adversary import TamperMode, TamperSpec, tamper_channel
+from qtrust import simulator
 from qtrust.backend import BackendModel, NoiseModel
+from qtrust.benchmarks import builtin
 from qtrust.circuit import CircuitBuilder, GateKind
+from qtrust.metrics import from_vector, top_outcome, tvd
+from qtrust.rng import derive_rng
 from qtrust.simulator import (
     DimensionMismatch,
+    _draw_errors,
+    _trajectory_vector,
     apply_readout_channel,
     clean_distribution,
     execute,
+    prepare,
     run_statevector,
     sample_counts,
 )
 
-from oracles import oracle_distribution, readout_oracle
+from oracles import (
+    depolarizing_oracle,
+    oracle_distribution,
+    per_shot_trajectories,
+    readout_oracle,
+)
 
 
 def _bell():
@@ -282,3 +295,112 @@ def test_per_qubit_readout_pairs():
     # qubit 1 (left char) is fully mixed, qubit 0 untouched
     assert dist["00"] == pytest.approx(0.5)
     assert dist["10"] == pytest.approx(0.5)
+
+
+# --- prepared ideal vector and gate-noise trajectories ------------------------
+
+
+def _count_evolves(monkeypatch) -> list[int]:
+    calls = [0]
+    original = simulator._evolve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    return calls
+
+
+def _noisy_circuit():
+    b = CircuitBuilder(3)
+    b.gate(GateKind.H, 0)
+    b.gate(GateKind.CX, 0, 1)
+    b.gate(GateKind.RY, 2, params=(0.7,))
+    b.gate(GateKind.CCX, 0, 1, 2)
+    b.gate(GateKind.T, 1)
+    b.gate(GateKind.H, 1)
+    b.measure_all()
+    return b.build()
+
+
+def test_prepare_evolves_once_and_passes_prepared_through(monkeypatch):
+    calls = _count_evolves(monkeypatch)
+    prepared = prepare(_bell())
+    assert prepare(prepared) is prepared
+    assert run_statevector(prepared) == run_statevector(_bell())
+    assert calls == [2]  # the two prepare(Circuit) calls, none for the Prepared
+
+
+def test_prepared_ideal_is_read_only():
+    prepared = prepare(_bell())
+    with pytest.raises(ValueError):
+        prepared.ideal[0] = 1.0
+    with pytest.raises(ValueError):
+        prepared.ideal += 0.0
+
+
+def test_entry_points_accept_circuit_or_prepared():
+    backend = BackendModel(
+        "hw",
+        NoiseModel.symmetric(0.05),
+        drift=0.01,
+        tamper=TamperSpec(TamperMode.TARGETED, 0.3),
+    )
+    circuit = builtin("adder_n4").circuit
+    prepared = prepare(circuit)
+    assert execute(backend, circuit, 500, seed=2) == execute(backend, prepared, 500, seed=2)
+    assert clean_distribution(backend, circuit) == clean_distribution(backend, prepared)
+
+
+def test_trajectory_mixture_replays_the_per_shot_stream():
+    # the per-shot reference draws inline, so a change to the draw order
+    # or to the weighting moves the mixture away from it
+    circuit, p, shots = _noisy_circuit(), 0.05, 2000
+    want = per_shot_trajectories(circuit, p, shots, np.random.default_rng(11))
+    got = _trajectory_vector(prepare(circuit), p, shots, np.random.default_rng(11))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_gate_noise_execute_evolves_each_distinct_pattern_once(monkeypatch):
+    circuit = builtin("adder_n4").circuit
+    prepared = prepare(circuit)
+    backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.01))
+    shots, seed = 500, 4
+    rng = derive_rng(seed, backend.name, "trajectories")
+    patterns = {tuple(_draw_errors(circuit, 0.01, rng).items()) for _ in range(shots)}
+    distinct = len(patterns - {()})
+    assert 1 < distinct < shots
+    calls = _count_evolves(monkeypatch)
+    execute(backend, prepared, shots, seed)
+    assert calls == [distinct]
+
+
+def test_trajectory_mixture_matches_density_matrix_oracle():
+    # The mixture is the mean of T independent measured-bit vectors v whose
+    # expectation is the oracle's distribution. With K outcomes,
+    # E[TVD] <= 1/2 sum_k sqrt(Var v_k / T) <= 1/2 sqrt(K/T), because
+    # sum_k Var v_k <= sum_k E[v_k^2] <= 1.
+    circuit, p, shots = _noisy_circuit(), 0.05, 20_000
+    bound = 0.5 * math.sqrt(2**circuit.num_measured / shots)
+    want = depolarizing_oracle(circuit, p)
+    got = from_vector(
+        _trajectory_vector(prepare(circuit), p, shots, np.random.default_rng(3))
+    )
+    assert tvd(got, want) < bound
+    # the check has power: the noise moves the distribution much further
+    assert tvd(depolarizing_oracle(circuit, 0.0), want) > 5 * bound
+
+
+def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
+    bench = builtin("adder_n10")
+    backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.002))
+    calls = _count_evolves(monkeypatch)
+    start = time.perf_counter()
+    counts = execute(backend, bench.circuit, 10_000, seed=1)
+    elapsed = time.perf_counter() - start
+    assert sum(counts.values()) == 10_000
+    assert top_outcome(counts)[0] == bench.expected_output
+    # one ideal plus one per distinct error pattern, not one per shot
+    assert calls[0] < 1_000
+    assert elapsed < 10.0
