@@ -5,7 +5,7 @@ error figures.
 
 Tampering and readout error are one tensored bit-flip map with different
 probabilities: ``flip_channel`` on a dense outcome vector, which
-``tamper_channel`` wraps for dicts. Line i is the i-th character from the
+``tamper_channel`` wraps for histograms. Line i is the i-th character from the
 right of a key (q_i under the q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import from_vector, ranked, to_vector
+from .metrics import Counts, ranked, to_vector
 
 
 class TamperError(ValueError):
@@ -93,24 +93,19 @@ class MaskingReport:
     net_rae: float
 
 
-def _top_two(counts: dict[str, int]) -> tuple[str, str]:
-    # ties broken toward the lexicographically smallest key, for determinism
-    order = ranked(counts)
-    if len(order) < 2:
-        raise DegenerateCounts("need at least two distinct outcomes to plan")
-    return order[0][0], order[1][0]
-
-
 def plan_targeted(untampered: dict[str, int]) -> tuple[int, ...]:
     """Lines where the most frequent outcome and the runner-up differ.
 
     The counts come from a clean execution the rogue provider runs
     privately; no ground truth is needed.
     """
-    a, b = _top_two(untampered)
+    # ties broken toward the lexicographically smallest key, for determinism
+    order = ranked(untampered, 2)
+    if len(order) < 2:
+        raise DegenerateCounts("need at least two distinct outcomes to plan")
+    (a, _), (b, _) = order
     width = len(a)
-    lines = tuple(i for i in range(width) if a[width - 1 - i] != b[width - 1 - i])
-    return lines
+    return tuple(i for i in range(width) if a[width - 1 - i] != b[width - 1 - i])
 
 
 def flip_channel(
@@ -127,12 +122,12 @@ def flip_channel(
     return probs
 
 
-def tamper_channel(dist: dict[str, float], spec: TamperSpec) -> dict[str, float]:
+def tamper_channel(dist: dict[str, float], spec: TamperSpec) -> Counts:
     """Symmetric bit-flip with probability t on every targeted line."""
     if not dist:
-        return {}
+        return Counts(np.zeros(1))
     flips = spec.flips(len(next(iter(dist))))
-    return from_vector(flip_channel(to_vector(dist), flips))
+    return Counts(flip_channel(to_vector(dist), flips))
 
 
 def masked_rae(

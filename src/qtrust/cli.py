@@ -49,7 +49,7 @@ def _cmd_parse(args) -> int:
     print(f"depth:       {circuit.depth()}")
     print(f"measured:    {circuit.num_measured}")
     print("ideal top-5:")
-    for key, p in ranked(dist)[:5]:
+    for key, p in ranked(dist, 5):
         print(f"  {key}  {p:.6f}")
     return 0
 

@@ -12,6 +12,7 @@ from majority voting over per-cell top outcomes.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -120,19 +121,17 @@ def probe(
 
     # majority vote over per-cell top outcomes; ties toward the outcome
     # with the largest summed count, then lexicographic
-    tops = [top_outcome(c)[0] for runs in raw.values() for c in runs]
+    tops = {name: [top_outcome(c) for c in runs] for name, runs in raw.items()}
     summed = stitch([c for runs in raw.values() for c in runs])
-    votes: dict[str, int] = {}
-    for t in tops:
-        votes[t] = votes.get(t, 0) + 1
+    votes = Counter(top for pairs in tops.values() for top, _ in pairs)
     voted = min(votes, key=lambda s: (-votes[s], -summed.get(s, 0), s))
 
     probes = []
     for backend in backends:
-        runs = []
-        for counts in raw[backend.name]:
-            top, conf = top_outcome(counts)
-            runs.append(ProbeRun(counts, top, conf, pm(counts, voted)))
+        runs = [
+            ProbeRun(counts, top, conf, pm(counts, voted))
+            for counts, (top, conf) in zip(raw[backend.name], tops[backend.name])
+        ]
         pair_tvds = [
             tvd(a.counts, b.counts) for a, b in combinations(runs, 2)
         ]
@@ -203,15 +202,16 @@ def adaptive_split(
             f"budget {shots} cannot cover {probe_cost} probe shots"
         )
     prepared = prepare(circuit)
-    report = probe(backends, prepared, k=k, r=r, seed=seed)
+    # resolved once: probe and the main run reuse the same tamper lines
+    resolved = [resolve_tamper(b, prepared, seed) for b in backends]
+    report = probe(resolved, prepared, k=k, r=r, seed=seed)
     winner = select_backend(report, order)
     remainder = shots - probe_cost
-    selected = next(b for b in backends if b.name == winner)
+    selected = next(b for b in resolved if b.name == winner)
     parts = [run.counts for run in report.for_backend(winner).runs]
     if remainder > 0:
-        resolved = resolve_tamper(selected, prepared, seed)
         parts.append(
-            execute(resolved, prepared, remainder, derive_seed(seed, "main"))
+            execute(selected, prepared, remainder, derive_seed(seed, "main"))
         )
     allocations = tuple(
         (b.name, r * k + (remainder if b.name == winner else 0)) for b in backends

@@ -39,11 +39,11 @@ from .defense import (
     qaoa_iteration_split,
     select_backend,
 )
-from .metrics import from_vector, pm, ranked, top_outcome, tvd
+from .metrics import Counts, pm, ranked, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
 from .qasm import QasmError, parse_qasm
 from .rng import derive_seed
-from .simulator import Prepared, clean_distribution, execute, prepare, resolve_tamper
+from .simulator import Prepared, clean_distribution, execute, prepare
 
 SCHEMA_VERSION = 1
 
@@ -201,7 +201,6 @@ class Workload:
     name: str
     prepared: Prepared | None = None  # circuit and its noise-free vector
     correct: str | None = None
-    ideal: dict[str, float] | None = None  # from_vector(prepared.ideal)
     graph: Graph | None = None
     qaoa: QaoaConfig | None = None
 
@@ -244,13 +243,8 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             bench = builtin(raw["builtin"])
         except KeyError:
             raise ConfigError(f"/workload/builtin: unknown builtin {raw['builtin']!r}")
-        prepared = prepare(bench.circuit)
         return Workload(
-            "sample",
-            bench.name,
-            prepared,
-            bench.expected_output,
-            from_vector(prepared.ideal),
+            "sample", bench.name, prepare(bench.circuit), bench.expected_output
         )
     if "qasm" in raw:
         path = base_dir / raw["qasm"]
@@ -262,9 +256,8 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             prepared = prepare(parse_qasm(source, name=path.stem))
         except (QasmError, CircuitError) as exc:
             raise ConfigError(f"/workload/qasm: {path}: {exc}")
-        ideal = from_vector(prepared.ideal)
-        correct, _ = top_outcome(ideal)
-        return Workload("sample", prepared.circuit.name, prepared, correct, ideal)
+        correct, _ = top_outcome(Counts(prepared.ideal))
+        return Workload("sample", prepared.circuit.name, prepared, correct)
     spec = raw["qaoa"]
     if "edges" in spec:
         graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
@@ -393,10 +386,6 @@ def _with_t(backends: tuple[BackendModel, ...], t: float | None):
     return out
 
 
-def _top_counts(counts: dict[str, int], k: int = 5) -> dict[str, int]:
-    return dict(ranked(counts)[:k])
-
-
 def _probe_summary(report) -> dict:
     return {
         "voted_answer": report.voted_answer,
@@ -419,15 +408,10 @@ def _finite(x: float) -> float | str:
     return x if math.isfinite(x) else "inf"
 
 
-def _clean_mixture(clean: dict[str, dict], allocations) -> dict[str, float]:
+def _clean_mixture(clean: dict[str, Counts], allocations) -> Counts:
     total = sum(s for _, s in allocations if s > 0)
-    mix: dict[str, float] = {}
-    for name, share in allocations:
-        if share <= 0:
-            continue
-        for key, p in clean[name].items():
-            mix[key] = mix.get(key, 0.0) + p * share / total
-    return mix
+    # vec * share / total in allocation order; vec * (share / total) moves bits
+    return Counts(sum(clean[n].vector * s / total for n, s in allocations if s > 0))
 
 
 def _qaoa_record_fields(record: dict, run) -> None:
@@ -477,8 +461,7 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
 
     if defense.mode == "none":
         (backend,) = backends
-        resolved = resolve_tamper(backend, wl.prepared, seed)
-        counts = execute(resolved, wl.prepared, shots, seed)
+        counts = execute(backend, wl.prepared, shots, seed)
         clean_mix = clean[backend.name]
     else:
         if defense.mode == "equal":
@@ -500,13 +483,13 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
     top, confidence = top_outcome(counts)
     record.update(
         pm=_finite(pm(counts, wl.correct)),
-        tvd_vs_ideal=tvd(counts, wl.ideal),
+        tvd_vs_ideal=tvd(counts, Counts(wl.prepared.ideal)),
         tvd_vs_clean=tvd(counts, clean_mix),
         top_outcome=top,
         confidence=confidence,
         correct=wl.correct,
-        top_counts=_top_counts(counts),
-        shots_in_answer=sum(counts.values()),
+        top_counts=dict(ranked(counts, 5)),
+        shots_in_answer=int(counts.vector.sum()),
     )
 
 

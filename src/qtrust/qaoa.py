@@ -11,8 +11,9 @@ import numpy as np
 
 from .backend import BackendModel
 from .circuit import Circuit, CircuitBuilder, GateKind, CapacityExceeded
+from .metrics import Counts, to_vector
 from .rng import derive_rng, derive_seed
-from .simulator import Counts, execute
+from .simulator import execute
 
 MAX_QAOA_NODES = 20
 
@@ -116,28 +117,37 @@ def build_qaoa_circuit(graph: Graph, params: QaoaParams) -> Circuit:
     return b.build()
 
 
+def _cuts(index: np.ndarray, graph: Graph) -> np.ndarray:
+    """Cut value of every assignment in ``index``: bit u is node u."""
+    cuts = np.zeros(index.shape, dtype=index.dtype)
+    for u, v in graph.edges:
+        cuts += ((index >> u) ^ (index >> v)) & 1
+    return cuts
+
+
 def cut_value(bitstring: str, graph: Graph) -> int:
     """Number of edges with differing endpoint bits."""
     if len(bitstring) != graph.n:
         raise LengthMismatch(
             f"bitstring length {len(bitstring)} != {graph.n} nodes"
         )
-    n = graph.n
-    return sum(
-        1 for u, v in graph.edges if bitstring[n - 1 - u] != bitstring[n - 1 - v]
-    )
+    return int(_cuts(np.array(int(bitstring, 2)), graph))
 
 
 def expectation(counts: dict[str, int], graph: Graph) -> float:
     """Shot-weighted mean cut value."""
-    total = sum(counts.values())
-    if total == 0:
+    if not counts:
         raise LengthMismatch("empty counts")
-    return sum(c * cut_value(s, graph) for s, c in counts.items()) / total
+    return exact_expectation(counts, graph) / to_vector(counts).sum().item()
 
 
 def exact_expectation(dist: dict[str, float], graph: Graph) -> float:
-    return sum(p * cut_value(s, graph) for s, p in dist.items())
+    """Sum of weight times cut value (an integer dot product for counts)."""
+    vec = to_vector(dist)
+    if vec.size != 1 << graph.n:
+        raise LengthMismatch(f"{vec.size}-entry histogram for {graph.n} nodes")
+    index = np.flatnonzero(vec)
+    return sum((vec[index] * _cuts(index, graph)).tolist())  # in key order
 
 
 def cmax(graph: Graph) -> int:
@@ -145,10 +155,7 @@ def cmax(graph: Graph) -> int:
     if graph.n > 24:
         raise CapacityExceeded(f"{graph.n} nodes exceeds brute-force capacity")
     index = np.arange(1 << (graph.n - 1), dtype=np.uint32)  # node n-1 fixed to 0
-    cuts = np.zeros(index.size, dtype=np.uint16)
-    for u, v in graph.edges:
-        cuts += ((index >> u) ^ (index >> v)) & 1  # bit u of a key is node u
-    return int(cuts.max())
+    return int(_cuts(index, graph).max())
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:

@@ -1,11 +1,11 @@
 """Dense statevector execution, readout-noise channels and seeded shot
 sampling.
 
-At the public boundary a Distribution is a dict mapping bitstring keys to
-probabilities and Counts maps them to shot counts. Keys follow the
-q_{n-1}...q_0 convention; line 0 is the rightmost character. Inside, one
-dense vector indexed by the integer outcome runs through readout and
-tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
+One dense vector indexed by the integer outcome runs through readout and
+tamper flips (both ``adversary.flip_channel``) to the multinomial draw, and
+every result is a ``metrics.Counts`` view of the vector computed: of
+probabilities or of shot counts. Keys follow the q_{n-1}...q_0 convention;
+line 0 is the rightmost character.
 
 ``prepare`` is the one place that evolves a noise-free statevector; every
 entry point takes its ``Prepared`` result or a plain circuit. Gate noise
@@ -23,10 +23,8 @@ from .adversary import flip_channel, plan_targeted, TamperMode
 from .backend import BackendModel, ReadoutPair
 from .circuit import Circuit, CircuitError, GateKind
 from .gates import matrix
-from .metrics import Counts, from_vector, to_vector
+from .metrics import Counts, to_vector
 from .rng import derive_rng, derive_seed
-
-Distribution = dict[str, float]
 
 PLAN_SHOTS = 10_000  # private clean run the adversary uses to pick targets
 
@@ -105,9 +103,9 @@ def prepare(circuit: Circuit | Prepared) -> Prepared:
     return Prepared(circuit, _evolve(circuit))
 
 
-def run_statevector(circuit: Circuit | Prepared) -> Distribution:
+def run_statevector(circuit: Circuit | Prepared) -> Counts:
     """Exact outcome distribution over the measured classical bits."""
-    return from_vector(prepare(circuit).ideal)
+    return Counts(prepare(circuit).ideal)
 
 
 def _draw_errors(circuit: Circuit, p: float, rng) -> Errors:
@@ -142,34 +140,31 @@ def _trajectory_vector(
 
 
 def apply_readout_channel(
-    dist: Distribution, pairs: list[ReadoutPair]
-) -> Distribution:
+    dist: dict[str, float], pairs: list[ReadoutPair]
+) -> Counts:
     """Per-line 2x2 stochastic matrix [[1-p01, p10], [p01, 1-p10]].
 
     ``pairs`` is indexed by line (pairs[0] acts on the rightmost bit).
     """
     if not dist:
-        return {}
+        return Counts(np.zeros(1))
     width = len(next(iter(dist)))
     if len(pairs) != width:
         raise DimensionMismatch(
             f"{len(pairs)} readout channels supplied for {width}-bit keys"
         )
-    return from_vector(flip_channel(to_vector(dist), dict(enumerate(pairs))))
+    return Counts(flip_channel(to_vector(dist), dict(enumerate(pairs))))
 
 
-def _sample(probs: np.ndarray, shots: int, seed: int) -> Counts:
+def sample_counts(dist: dict[str, float], shots: int, seed: int) -> Counts:
+    """Seeded multinomial draw; identical inputs give identical Counts."""
+    probs = to_vector(dist)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     mass = probs.sum()
     if probs.min() < 0.0 or abs(mass - 1.0) > 1e-9:
         raise ValueError(f"not a distribution: mass {mass} or a negative entry")
-    return Counts(from_vector(derive_rng(seed).multinomial(shots, probs / mass)))
-
-
-def sample_counts(dist: Distribution, shots: int, seed: int) -> Counts:
-    """Seeded multinomial draw; identical inputs give identical Counts."""
-    return _sample(to_vector(dist), shots, seed)
+    return Counts(derive_rng(seed).multinomial(shots, probs / mass))
 
 
 def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
@@ -184,9 +179,9 @@ def _clean_vector(backend: BackendModel, prepared: Prepared) -> np.ndarray:
 
 def clean_distribution(
     backend: BackendModel, circuit: Circuit | Prepared
-) -> Distribution:
+) -> Counts:
     """Analytic post-readout distribution without drift or tampering."""
-    return from_vector(_clean_vector(backend, prepare(circuit)))
+    return Counts(_clean_vector(backend, prepare(circuit)))
 
 
 def resolve_tamper(
@@ -203,8 +198,8 @@ def resolve_tamper(
     prepared = prepare(circuit)
     width = prepared.circuit.num_measured
     if spec.mode is TamperMode.TARGETED:
-        private = _sample(
-            _clean_vector(backend, prepared),
+        private = sample_counts(
+            Counts(_clean_vector(backend, prepared)),
             PLAN_SHOTS,
             derive_seed(seed, backend.name, "tamper-plan"),
         )
@@ -232,16 +227,12 @@ def execute(
     pairs = _line_pairs(backend, prepared.circuit)
     if backend.drift > 0.0:
         rng = derive_rng(seed, backend.name, "drift")
-        jitter = rng.uniform(-backend.drift, backend.drift, size=(len(pairs), 2))
-        pairs = [
-            (
-                float(np.clip(p01 + j0, 0.0, 0.5)),
-                float(np.clip(p10 + j1, 0.0, 0.5)),
-            )
-            for (p01, p10), (j0, j1) in zip(pairs, jitter)
-        ]
+        pairs = np.array(pairs)
+        jitter = rng.uniform(-backend.drift, backend.drift, size=pairs.shape)
+        pairs = np.clip(pairs + jitter, 0.0, 0.5).tolist()
     probs = flip_channel(probs, dict(enumerate(pairs)))
     if backend.tamper is not None:
         resolved = resolve_tamper(backend, prepared, seed)
         probs = flip_channel(probs, resolved.tamper.flips(len(pairs)))
-    return _sample(probs, shots, derive_seed(seed, backend.name, "sample"))
+    seed = derive_seed(seed, backend.name, "sample")
+    return sample_counts(Counts(probs), shots, seed)

@@ -241,3 +241,68 @@ def readout_oracle(
         vec[int(key, 2)] += p
     keys = [format(i, f"0{width}b") for i in range(2**width)]
     return dict(zip(keys, (full @ vec).tolist()))
+
+
+# --- dict metrics: key-by-key references for the vector metrics ----------------
+#
+# These walk string keys the way the metrics did before they moved onto the
+# dense vector. Sums run in the dict's iteration order, so a histogram given
+# in key order reproduces the vector metrics' bits exactly.
+
+
+def _check_widths(keys, width: int | None = None) -> int:
+    for k in keys:
+        if width is None:
+            width = len(k)
+        elif len(k) != width:
+            raise ValueError(f"mixed key lengths ({width} and {len(k)})")
+    if width is None:
+        raise ValueError("empty histogram")
+    return width
+
+
+def dict_ranked(hist: dict) -> list[tuple]:
+    return sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def dict_pm(counts: dict, correct: str) -> float:
+    _check_widths(counts.keys(), len(correct))
+    good = counts.get(correct, 0)
+    worst_bad = max((c for k, c in counts.items() if k != correct), default=0)
+    if worst_bad == 0:
+        return math.inf if good > 0 else 0.0
+    return good / worst_bad
+
+
+def _normalize(hist: dict) -> dict:
+    total = float(sum(hist.values()))
+    return {k: v / total for k, v in hist.items()}
+
+
+def dict_tvd(a: dict, b: dict) -> float:
+    _check_widths(b.keys(), _check_widths(a.keys()))
+    pa, pb = _normalize(a), _normalize(b)
+    keys = sorted(set(pa) | set(pb))
+    return 0.5 * sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
+
+
+def dict_stitch(parts: list[dict]) -> dict:
+    width = None
+    out: dict = {}
+    for part in parts:
+        width = _check_widths(part.keys(), width)
+        for k, v in part.items():
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def dict_top_outcome(counts: dict) -> tuple[str, float]:
+    key, count = dict_ranked(counts)[0]
+    return key, count / sum(counts.values())
+
+
+def string_cut_value(bitstring: str, edges) -> int:
+    """Edges whose endpoints differ, read off the characters: node u is
+    character n-1-u."""
+    n = len(bitstring)
+    return sum(1 for u, v in edges if bitstring[n - 1 - u] != bitstring[n - 1 - v])

@@ -2,6 +2,7 @@ import statistics
 
 import pytest
 
+from qtrust import simulator
 from qtrust.adversary import TamperMode, TamperSpec
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
@@ -28,6 +29,20 @@ def clean(name="hw_a"):
 
 def tampered(name="hw_b", t=0.5, mode=TamperMode.TARGETED, k=None):
     return BackendModel(name, NOISE, tamper=TamperSpec(mode, t, k), drift=0.01)
+
+
+def test_adaptive_split_plans_a_targeted_backend_once(monkeypatch):
+    # probe and the main run share one resolution of the tamper lines
+    calls = []
+    real = simulator.plan_targeted
+
+    def counted(counts):
+        calls.append(counts)
+        return real(counts)
+
+    monkeypatch.setattr(simulator, "plan_targeted", counted)
+    adaptive_split([tampered()], TOFFOLI, 2 * 50 + 100, k=50, r=2, seed=0)
+    assert len(calls) == 1
 
 
 # --- equal split --------------------------------------------------------------

@@ -1,10 +1,25 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrust.metrics import KeyLengthMismatch, pm, stitch, top_outcome, tvd
+import oracles
+from qtrust.backend import BackendModel, NoiseModel
+from qtrust.benchmarks import builtin
+from qtrust.metrics import (
+    Counts,
+    KeyLengthMismatch,
+    pm,
+    ranked,
+    stitch,
+    to_vector,
+    top_outcome,
+    tvd,
+)
+from qtrust.simulator import execute, run_statevector
 
 
 def test_pm_basic_ratio():
@@ -107,3 +122,95 @@ def test_top_outcome_and_confidence():
 def test_top_outcome_tie_breaks_lexicographically():
     top, _ = top_outcome({"10": 5, "01": 5})
     assert top == "01"
+
+
+# --- the Counts view ------------------------------------------------------------
+
+
+def test_counts_is_a_read_only_mapping_view_of_its_vector():
+    vector = np.array([0, 3, 0, 5, 1, 0, 0, 0])
+    counts = Counts(vector)
+    assert counts.vector is vector
+    assert to_vector(counts) is vector
+    assert list(counts) == ["001", "011", "100"]  # nonzero keys, key order
+    assert len(counts) == 3
+    assert counts["011"] == 5 and type(counts["011"]) is int
+    # a zero entry, a wrong width and non-binary keys are all absent
+    for key in ("000", "11", "0011", "0b1", "0_1", " 11", "+11", "abc", 3):
+        assert key not in counts
+        assert counts.get(key) is None
+    with pytest.raises(KeyError):
+        counts["000"]
+    assert counts == {"001": 3, "011": 5, "100": 1}
+    assert {"001": 3, "011": 5, "100": 1} == counts
+    assert counts != {"001": 3, "011": 5}
+    assert not isinstance(counts, dict)
+    with pytest.raises(ValueError):
+        counts.vector[0] = 1
+    with pytest.raises(TypeError):
+        counts["000"] = 1
+    text = json.dumps(dict(counts))
+    assert json.loads(text) == {"001": 3, "011": 5, "100": 1}
+    assert all(type(v) is int for v in dict(counts).values())
+
+
+def test_counts_rejects_a_vector_that_is_not_2_to_the_w_long():
+    with pytest.raises(ValueError):
+        Counts(np.zeros(6))
+
+
+def test_probabilities_are_counts_of_python_floats():
+    dist = run_statevector(builtin("toffoli_n3").circuit)
+    assert isinstance(dist, Counts)
+    assert all(type(p) is float for p in dict(dist).values())
+    json.dumps(dict(dist))
+
+
+def test_execute_returns_a_counts_over_every_outcome():
+    circuit = builtin("adder_n4").circuit
+    counts = execute(BackendModel("hw", NoiseModel.symmetric(0.02)), circuit, 200, 1)
+    assert isinstance(counts, Counts)
+    assert counts.vector.size == 2**circuit.num_measured
+    assert sum(counts.values()) == 200
+    assert len(counts) == np.count_nonzero(counts.vector)
+
+
+# --- the vector metrics against the dict references -------------------------------
+
+
+def _keys(width):
+    return st.integers(0, 2**width - 1).map(lambda i: format(i, f"0{width}b"))
+
+
+_VALUES = st.sampled_from(
+    [
+        st.integers(1, 4),  # many ties
+        st.integers(1, 10**6),
+        st.floats(1e-9, 1e3),
+        st.sampled_from([0.125, 0.25, 0.5]),  # float ties
+    ]
+)
+
+
+@st.composite
+def _histogram(draw, width):
+    values = draw(_VALUES)
+    hist = draw(st.dictionaries(_keys(width), values, min_size=1, max_size=40))
+    return dict(sorted(hist.items()))  # key order, as the vector sums
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_vector_metrics_equal_the_dict_references_exactly(data):
+    width = data.draw(st.integers(1, 8))
+    a, b = data.draw(_histogram(width)), data.draw(_histogram(width))
+    correct = data.draw(_keys(width))
+    for hist in (a, Counts(to_vector(a))):
+        assert pm(hist, correct) == oracles.dict_pm(a, correct)
+        assert top_outcome(hist) == oracles.dict_top_outcome(a)
+        assert ranked(hist) == oracles.dict_ranked(a)
+        assert ranked(hist, 2) == oracles.dict_ranked(a)[:2]
+    assert tvd(a, b) == oracles.dict_tvd(a, b)
+    assert tvd(Counts(to_vector(a)), b) == oracles.dict_tvd(a, b)
+    assert stitch([a, b]) == oracles.dict_stitch([a, b])
+    assert stitch([a]) == a

@@ -5,6 +5,7 @@ import pytest
 
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CapacityExceeded, GateKind
+from qtrust.metrics import Counts, to_vector
 from qtrust.qaoa import (
     Graph,
     GraphError,
@@ -20,6 +21,8 @@ from qtrust.qaoa import (
     random_regular_graph,
 )
 from qtrust.simulator import run_statevector
+
+from oracles import string_cut_value
 
 
 def c4():
@@ -65,13 +68,32 @@ def test_cmax_known_graphs():
     assert cmax(edge) == 1
 
 
+def _random_graph(n: int, rng: random.Random) -> Graph:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cmax_matches_brute_force_over_every_bitstring(n):
-    rng = random.Random(n)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    graph = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    graph = _random_graph(n, random.Random(n))
     keys = (format(i, f"0{n}b") for i in range(2**n))
-    assert cmax(graph) == max(cut_value(key, graph) for key in keys)
+    assert cmax(graph) == max(string_cut_value(key, graph.edges) for key in keys)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cut_kernel_matches_string_reference(n):
+    rng = random.Random(n)
+    graph = _random_graph(n, rng)
+    keys = [format(i, f"0{n}b") for i in range(2**n)]
+    cut = {key: string_cut_value(key, graph.edges) for key in keys}
+    assert {key: cut_value(key, graph) for key in keys} == cut
+    observed = sorted(rng.sample(keys, min(len(keys), 40)))  # key order
+    counts = {key: rng.randint(1, 500) for key in observed}
+    want = sum(c * cut[key] for key, c in counts.items()) / sum(counts.values())
+    assert expectation(counts, graph) == want
+    assert expectation(Counts(to_vector(counts)), graph) == want
+    dist = {key: rng.random() for key in observed}
+    assert exact_expectation(dist, graph) == sum(p * cut[k] for k, p in dist.items())
 
 
 def test_cmax_capacity_guard():

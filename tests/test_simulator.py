@@ -11,7 +11,7 @@ from qtrust import simulator
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
 from qtrust.circuit import CircuitBuilder, GateKind
-from qtrust.metrics import from_vector, top_outcome, tvd
+from qtrust.metrics import Counts, top_outcome, tvd
 from qtrust.rng import derive_rng
 from qtrust.simulator import (
     DimensionMismatch,
@@ -384,7 +384,7 @@ def test_trajectory_mixture_matches_density_matrix_oracle():
     circuit, p, shots = _noisy_circuit(), 0.05, 20_000
     bound = 0.5 * math.sqrt(2**circuit.num_measured / shots)
     want = depolarizing_oracle(circuit, p)
-    got = from_vector(
+    got = Counts(
         _trajectory_vector(prepare(circuit), p, shots, np.random.default_rng(3))
     )
     assert tvd(got, want) < bound
