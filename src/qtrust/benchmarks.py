@@ -223,10 +223,9 @@ BENCHMARK_NAMES = tuple(_BUILDERS)
 LARGE_BENCHMARK_NAMES = tuple(_LARGE_BUILDERS)
 
 
-def builtin(name: str, include_large: bool = True) -> Benchmark:
+def builtin(name: str) -> Benchmark:
     """Look up a builtin benchmark by name."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    if include_large and name in _LARGE_BUILDERS:
-        return _LARGE_BUILDERS[name]()
-    raise UnknownBenchmark(name)
+    make = _BUILDERS.get(name) or _LARGE_BUILDERS.get(name)
+    if make is None:
+        raise UnknownBenchmark(name)
+    return make()

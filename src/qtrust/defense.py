@@ -35,6 +35,7 @@ class InsufficientShots(DefenseError):
 @dataclass(frozen=True)
 class SplitPlan:
     allocations: tuple[tuple[str, int], ...]
+    selected: str | None = None  # the adaptive pick; None for equal split
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def adaptive_split(
     allocations = tuple(
         (b.name, r * k + (remainder if b.name == winner else 0)) for b in backends
     )
-    return stitch(parts), SplitPlan(allocations), report
+    return stitch(parts), SplitPlan(allocations, winner), report
 
 
 # --- hybrid (QAOA) variants -------------------------------------------------

@@ -30,17 +30,16 @@ import jsonschema
 from .adversary import TamperMode, TamperSpec
 from .backend import BackendModel, NoiseError, NoiseModel
 from .benchmarks import builtin
-from .circuit import Circuit, CircuitError
+from .circuit import CapacityExceeded, CircuitError
 from .defense import (
     SELECTION_ORDER,
     adaptive_split,
     equal_split,
     qaoa_adaptive,
     qaoa_iteration_split,
-    select_backend,
 )
 from .metrics import Counts, pm, ranked, top_outcome, tvd
-from .qaoa import Graph, QaoaConfig, optimize, random_regular_graph
+from .qaoa import Graph, GraphError, QaoaConfig, optimize, random_regular_graph
 from .qasm import QasmError, parse_qasm
 from .rng import derive_seed
 from .simulator import Prepared, clean_distribution, execute, prepare
@@ -155,11 +154,13 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"type": "integer", "minimum": 1},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "t_sweep": {
             "type": "array",
             "items": {"type": "number", "minimum": 0.0, "maximum": 1.0},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "defense": {
             "type": "object",
@@ -186,6 +187,7 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"type": "integer", "minimum": 0},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "master_seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
@@ -204,10 +206,6 @@ class Workload:
     graph: Graph | None = None
     qaoa: QaoaConfig | None = None
 
-    @property
-    def circuit(self) -> Circuit | None:
-        return None if self.prepared is None else self.prepared.circuit
-
 
 @dataclass(frozen=True)
 class DefenseSpec:
@@ -223,7 +221,6 @@ class DefenseSpec:
 class ExperimentConfig:
     workload: Workload
     backends: tuple[BackendModel, ...]
-    shots: int
     t_sweep: tuple[float | None, ...]
     shots_sweep: tuple[int, ...]
     defense: DefenseSpec
@@ -259,14 +256,17 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
         correct, _ = top_outcome(Counts(prepared.ideal))
         return Workload("sample", prepared.circuit.name, prepared, correct)
     spec = raw["qaoa"]
-    if "edges" in spec:
-        graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
-    elif "degree" in spec:
-        graph = random_regular_graph(
-            spec["nodes"], spec["degree"], spec.get("graph_seed", 0)
-        )
-    else:
-        raise ConfigError("/workload/qaoa: needs either edges or degree")
+    try:
+        if "edges" in spec:
+            graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
+        elif "degree" in spec:
+            graph = random_regular_graph(
+                spec["nodes"], spec["degree"], spec.get("graph_seed", 0)
+            )
+        else:
+            raise ConfigError("/workload/qaoa: needs either edges or degree")
+    except (GraphError, CapacityExceeded) as exc:
+        raise ConfigError(f"/workload/qaoa: {exc}")
     config = QaoaConfig(
         **{f.name: spec[f.name] for f in fields(QaoaConfig) if f.name in spec}
     )
@@ -302,7 +302,7 @@ def _check_readout(backends, workload: Workload) -> None:
     if workload.kind == "qaoa":
         last = workload.graph.n - 1
     else:
-        last = max(q for q, _ in workload.circuit.measured_pairs)
+        last = max(q for q, _ in workload.prepared.circuit.measured_pairs)
     for i, backend in enumerate(backends):
         try:
             backend.noise.pair_for(last)
@@ -330,9 +330,6 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         err = jsonschema.exceptions.best_match(errors)
         raise ConfigError(f"{_pointer(err)}: {err.message}")
 
-    seeds = raw["seeds"]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("/seeds: seeds must be distinct")
     backends = tuple(_build_backend(b) for b in raw["backends"])
     names = [b.name for b in backends]
     if len(set(names)) != len(names):
@@ -362,11 +359,10 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
     return ExperimentConfig(
         workload=workload,
         backends=backends,
-        shots=raw["shots"],
         t_sweep=t_sweep,
         shots_sweep=shots_sweep,
         defense=defense,
-        seeds=tuple(seeds),
+        seeds=tuple(raw["seeds"]),
         master_seed=raw.get("master_seed", 0),
         out=raw.get("out"),
         experiment_id=experiment_id,
@@ -477,7 +473,7 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
                 order=defense.order,
             )
             record["probe"] = _probe_summary(report)
-            record["selected"] = select_backend(report, defense.order)
+            record["selected"] = plan.selected
         record["allocations"] = list(plan.allocations)
         clean_mix = _clean_mixture(clean, plan.allocations)
     top, confidence = top_outcome(counts)

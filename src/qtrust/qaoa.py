@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .backend import BackendModel
 from .circuit import Circuit, CircuitBuilder, GateKind, CapacityExceeded
-from .metrics import Counts, to_vector
+from .metrics import to_vector
 from .rng import derive_rng, derive_seed
 from .simulator import execute
 
@@ -38,6 +39,8 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise GraphError("graph needs at least two nodes")
+        if self.n > MAX_QAOA_NODES:
+            raise CapacityExceeded(f"{self.n} nodes exceeds {MAX_QAOA_NODES}")
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
@@ -57,6 +60,17 @@ class Graph:
     @property
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Read-only cut value of every assignment, indexed like a
+        histogram vector: bit u of the index is node u."""
+        index = np.arange(1 << self.n, dtype=np.uint32)
+        cuts = np.zeros(index.size, dtype=np.min_scalar_type(len(self.edges)))
+        for u, v in self.edges:
+            cuts += ((index >> u) ^ (index >> v)) & 1
+        cuts.flags.writeable = False
+        return cuts
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,6 @@ class QaoaParams:
 class QaoaRunRecord:
     best_params: QaoaParams
     trace: list[float]
-    final_counts: Counts
     ar: float
     cmax: int
     best_expectation: float
@@ -101,8 +114,6 @@ class QaoaConfig:
 
 def build_qaoa_circuit(graph: Graph, params: QaoaParams) -> Circuit:
     """Alternating cost (CX-RZ-CX per edge) and mixer (RX) layers."""
-    if graph.n > MAX_QAOA_NODES:
-        raise CapacityExceeded(f"{graph.n} nodes exceeds {MAX_QAOA_NODES}")
     b = CircuitBuilder(graph.n, name=f"qaoa_p{params.p}_n{graph.n}")
     for q in range(graph.n):
         b.gate(GateKind.H, q)
@@ -117,21 +128,13 @@ def build_qaoa_circuit(graph: Graph, params: QaoaParams) -> Circuit:
     return b.build()
 
 
-def _cuts(index: np.ndarray, graph: Graph) -> np.ndarray:
-    """Cut value of every assignment in ``index``: bit u is node u."""
-    cuts = np.zeros(index.shape, dtype=index.dtype)
-    for u, v in graph.edges:
-        cuts += ((index >> u) ^ (index >> v)) & 1
-    return cuts
-
-
 def cut_value(bitstring: str, graph: Graph) -> int:
     """Number of edges with differing endpoint bits."""
     if len(bitstring) != graph.n:
         raise LengthMismatch(
             f"bitstring length {len(bitstring)} != {graph.n} nodes"
         )
-    return int(_cuts(np.array(int(bitstring, 2)), graph))
+    return int(graph.cuts[int(bitstring, 2)])
 
 
 def expectation(counts: dict[str, int], graph: Graph) -> float:
@@ -144,18 +147,15 @@ def expectation(counts: dict[str, int], graph: Graph) -> float:
 def exact_expectation(dist: dict[str, float], graph: Graph) -> float:
     """Sum of weight times cut value (an integer dot product for counts)."""
     vec = to_vector(dist)
-    if vec.size != 1 << graph.n:
+    if vec.size != graph.cuts.size:
         raise LengthMismatch(f"{vec.size}-entry histogram for {graph.n} nodes")
     index = np.flatnonzero(vec)
-    return sum((vec[index] * _cuts(index, graph)).tolist())  # in key order
+    return sum((vec[index] * graph.cuts[index]).tolist())  # in key order
 
 
 def cmax(graph: Graph) -> int:
-    """Brute-force maximum cut (symmetric half of the assignments)."""
-    if graph.n > 24:
-        raise CapacityExceeded(f"{graph.n} nodes exceeds brute-force capacity")
-    index = np.arange(1 << (graph.n - 1), dtype=np.uint32)  # node n-1 fixed to 0
-    return int(_cuts(index, graph).max())
+    """Maximum cut, over every assignment."""
+    return int(graph.cuts.max())
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -204,7 +204,6 @@ class _Objective:
         self.trace: list[float] = []
         self.best_value = -math.inf
         self.best_params: QaoaParams | None = None
-        self.best_counts: Counts | None = None
 
     def __call__(self, x) -> float:
         if self.evals >= self.budget:
@@ -223,7 +222,6 @@ class _Objective:
         if value > self.best_value:
             self.best_value = value
             self.best_params = params
-            self.best_counts = counts
         return value
 
 
@@ -306,7 +304,6 @@ def optimize(
     record = QaoaRunRecord(
         best_params=objective.best_params,
         trace=objective.trace,
-        final_counts=objective.best_counts,
         ar=objective.best_value / best_cut,
         cmax=best_cut,
         best_expectation=objective.best_value,

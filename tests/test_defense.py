@@ -51,6 +51,7 @@ def test_adaptive_split_plans_a_targeted_backend_once(monkeypatch):
 def test_equal_split_allocations():
     counts, plan = equal_split([clean(), tampered()], TOFFOLI, 10001, seed=0)
     assert plan.allocations == (("hw_a", 5001), ("hw_b", 5000))
+    assert plan.selected is None
     assert sum(counts.values()) == 10001
 
 
@@ -174,6 +175,8 @@ def test_adaptive_split_budget_accounting():
     assert min(executed.values()) == 100
     # the answer excludes the loser's probe shots
     assert sum(counts.values()) == shots - 100
+    assert plan.selected == select_backend(report)
+    assert executed[plan.selected] == shots - 100
 
 
 def test_adaptive_split_insufficient_budget():

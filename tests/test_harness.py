@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -76,9 +77,17 @@ def test_config_rejects_bad_tamper_mode():
 
 
 def test_config_rejects_duplicate_seeds():
-    with pytest.raises(ConfigError) as err:
-        load_config(base_config(seeds=[1, 1]))
-    assert "/seeds" in str(err.value)
+    # a repeated sweep value runs the same cell twice; 0 and 0.0 give the
+    # same cell seed, so they are a repeat too
+    for field, values in (
+        ("seeds", [1, 1]),
+        ("seeds", [0, 0.0]),
+        ("t_sweep", [0.1, 0.1]),
+        ("t_sweep", [0, 0.0]),
+        ("shots_sweep", [100, 100]),
+    ):
+        with pytest.raises(ConfigError, match=f"^/{field}: .*non-unique"):
+            load_config(base_config(**{field: values}))
 
 
 def test_config_rejects_duplicate_backend_names():
@@ -133,10 +142,31 @@ def test_short_per_qubit_readout_is_config_error(tmp_path, capsys, workload, pai
     assert load_config(cfg).backends[1].noise.pair_for(pairs) == (0.01, 0.02)
 
 
+# each names a graph the QAOA workload cannot build or cannot simulate
+BAD_GRAPHS = {
+    "infeasible_degree": {"nodes": 5, "degree": 3},
+    "duplicate_edge": {"nodes": 4, "edges": [[0, 1], [1, 0]]},
+    "out_of_range_edge": {"nodes": 4, "edges": [[0, 9]]},
+    "self_loop": {"nodes": 4, "edges": [[2, 2]]},
+    "too_many_nodes": {"nodes": 30, "degree": 3},
+}
+
+
+@pytest.mark.parametrize("graph", BAD_GRAPHS.values(), ids=list(BAD_GRAPHS))
+def test_bad_qaoa_graph_is_config_error(tmp_path, capsys, graph):
+    cfg = base_config(workload={"qaoa": graph})
+    with pytest.raises(ConfigError, match="^/workload/qaoa: "):
+        load_config(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: /workload/qaoa:" in capsys.readouterr().err
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()))
-    assert load_config(path).shots == 1000
+    assert load_config(path).shots_sweep == (1000,)
 
 
 def test_qasm_workload_resolves_relative_to_config(tmp_path):
@@ -145,7 +175,7 @@ def test_qasm_workload_resolves_relative_to_config(tmp_path):
     (tmp_path / "bell.qasm").write_text((DATA / "bell.qasm").read_text())
     path.write_text(json.dumps(cfg))
     config = load_config(path)
-    assert config.workload.circuit.num_qubits == 2
+    assert config.workload.prepared.circuit.num_qubits == 2
     assert config.workload.correct in ("00", "11")
 
 
@@ -264,6 +294,21 @@ def test_adaptive_selected_is_probe_winner_without_main_phase():
         assert r["allocations"] == [("a_rogue", 100), ("b_honest", 100)]
         assert r["selected"] == "b_honest"
         assert r["shots_in_answer"] == 100
+
+
+def test_adaptive_record_selected_comes_from_the_plan(monkeypatch):
+    # the record reports the split's own pick; nothing re-ranks the probe
+    real = harness.adaptive_split
+
+    def renamed(*args, **kwargs):
+        counts, plan, report = real(*args, **kwargs)
+        return counts, dataclasses.replace(plan, selected="from_plan"), report
+
+    monkeypatch.setattr(harness, "adaptive_split", renamed)
+    config = load_config(base_config(shots=1000, defense={"mode": "adaptive"}))
+    records, errors = run_experiment(config)
+    assert not errors and records
+    assert all(r["selected"] == "from_plan" for r in records)
 
 
 def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):
@@ -417,6 +462,7 @@ BAD_QASM = {
     "infinite_angle": "qreg q[1]; creg c[1]; rx(1e400) q[0]; measure q -> c;",
     "unclosed_params": "qreg q[1]; creg c[1]; x(",
     "float_index": "qreg q[1]; creg c[1]; x q[1e0]; measure q -> c;",
+    "no_measurement": "qreg q[1]; creg c[1]; h q[0];",
 }
 
 

@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CapacityExceeded, GateKind
 from qtrust.metrics import Counts, to_vector
 from qtrust.qaoa import (
+    MAX_QAOA_NODES,
     Graph,
     GraphError,
     InfeasibleDegree,
@@ -86,6 +88,9 @@ def test_cut_kernel_matches_string_reference(n):
     graph = _random_graph(n, rng)
     keys = [format(i, f"0{n}b") for i in range(2**n)]
     cut = {key: string_cut_value(key, graph.edges) for key in keys}
+    assert graph.cuts is graph.cuts and not graph.cuts.flags.writeable
+    assert graph.cuts.dtype == np.uint8
+    assert graph.cuts.tolist() == list(cut.values())
     assert {key: cut_value(key, graph) for key in keys} == cut
     observed = sorted(rng.sample(keys, min(len(keys), 40)))  # key order
     counts = {key: rng.randint(1, 500) for key in observed}
@@ -94,6 +99,13 @@ def test_cut_kernel_matches_string_reference(n):
     assert expectation(Counts(to_vector(counts)), graph) == want
     dist = {key: rng.random() for key in observed}
     assert exact_expectation(dist, graph) == sum(p * cut[k] for k, p in dist.items())
+
+
+def test_graph_node_limit():
+    widest = Graph.from_edges(MAX_QAOA_NODES, [(0, MAX_QAOA_NODES - 1)])
+    assert widest.cuts.size == 1 << MAX_QAOA_NODES
+    with pytest.raises(CapacityExceeded):
+        Graph.from_edges(MAX_QAOA_NODES + 1, [(0, 1)])
 
 
 def test_cmax_capacity_guard():
