@@ -25,8 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import jsonschema
-
 from .adversary import TamperMode, TamperSpec
 from .backend import BackendModel, NoiseError, NoiseModel
 from .benchmarks import builtin
@@ -197,6 +195,135 @@ CONFIG_SCHEMA = {
 }
 
 
+# --- config checker ---------------------------------------------------------
+#
+# _errors reads CONFIG_SCHEMA as plain data. It implements the keywords in
+# _KEYWORDS with JSON Schema (draft 2020-12) semantics and jsonschema's
+# messages, and adds one rule: a number or integer must be finite, because
+# Python's json reads NaN and Infinity. The tests compare it with jsonschema.
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: _is_number(value)
+    and (isinstance(value, int) or value.is_integer()),
+}
+
+# size keyword -> (the type it applies to, whether it is a lower limit,
+# message); jsonschema words a lower limit of 1 and an upper limit of 0
+# as emptiness
+_SIZES = {
+    "minLength": (str, True, "is too short"),
+    "minItems": (list, True, "is too short"),
+    "maxItems": (list, False, "is too long"),
+    "minProperties": (dict, True, "does not have enough properties"),
+    "maxProperties": (dict, False, "has too many properties"),
+}
+
+_KEYWORDS = frozenset(
+    {"$schema", "type", "const", "enum", "minimum", "maximum", "uniqueItems"}
+    | {"items", "properties", "required", "additionalProperties", "oneOf"}
+    | _SIZES.keys()
+)
+
+
+def _canonical(value):
+    """Hashable form under which JSON values are equal as jsonschema's
+    ``equal`` has it: ``0 == 0.0`` but ``True != 1``. A value of no JSON
+    type equals only itself."""
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, list):
+        return ("array", tuple(map(_canonical, value)))
+    if isinstance(value, dict):
+        return ("object", frozenset((k, _canonical(v)) for k, v in value.items()))
+    if value is None or isinstance(value, (str, int, float)):
+        return ("scalar", value)
+    return ("other", id(value))
+
+
+def _errors(schema: dict, value, path: tuple = ()):
+    """Yield ``(path, message)`` for each violation of ``schema`` by
+    ``value``, in document order: a value's own violations come before
+    those of its items and properties."""
+    kind = schema.get("type")
+    if kind in ("number", "integer") and isinstance(value, float):
+        if not math.isfinite(value):
+            yield path, f"{value!r} is not a finite number"
+            return
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+        return
+    if "const" in schema and _canonical(value) != _canonical(schema["const"]):
+        yield path, f"{schema['const']!r} was expected"
+    if "enum" in schema and _canonical(value) not in map(_canonical, schema["enum"]):
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        branches = schema["oneOf"]
+        firsts = [next(_errors(branch, value, path), None) for branch in branches]
+        if None not in firsts:
+            # the one branch of the value's type, if any, says what is wrong
+            typed = [
+                first
+                for branch, first in zip(branches, firsts)
+                if "type" in branch and _TYPES[branch["type"]](value)
+            ]
+            if len(typed) == 1 and typed[0][0] == path:
+                yield typed[0]
+            else:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+        elif firsts.count(None) > 1:
+            valid = [branch for branch, first in zip(branches, firsts) if first is None]
+            listed = ", ".join(map(repr, valid))
+            yield path, f"{value!r} is valid under each of {listed}"
+    if _is_number(value):
+        low, high = schema.get("minimum"), schema.get("maximum")
+        if low is not None and value < low:
+            yield path, f"{value!r} is less than the minimum of {low!r}"
+        if high is not None and value > high:
+            yield path, f"{value!r} is greater than the maximum of {high!r}"
+    for keyword, (applies_to, lower, message) in _SIZES.items():
+        if keyword not in schema or not isinstance(value, applies_to):
+            continue
+        limit = schema[keyword]
+        if lower and len(value) < limit:
+            empty = limit == 1
+            yield path, f"{value!r} {'should be non-empty' if empty else message}"
+        elif not lower and len(value) > limit:
+            empty = limit == 0
+            yield path, f"{value!r} {'is expected to be empty' if empty else message}"
+    if isinstance(value, list):
+        if schema.get("uniqueItems") and len(set(map(_canonical, value))) < len(value):
+            yield path, f"{value!r} has non-unique elements"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _errors(schema["items"], item, (*path, i))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties", True) is False:
+            extras = sorted((key for key in value if key not in properties), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (
+                    "Additional properties are not allowed "
+                    f"({listed} {verb} unexpected)"
+                )
+        for key, item in value.items():
+            if key in properties:
+                yield from _errors(properties[key], item, (*path, key))
+
+
 @dataclass(frozen=True)
 class Workload:
     kind: str  # "sample" or "qaoa"
@@ -228,10 +355,6 @@ class ExperimentConfig:
     master_seed: int
     out: str | None
     experiment_id: str
-
-
-def _pointer(error: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(p) for p in error.absolute_path)
 
 
 def _build_workload(raw: dict, base_dir: Path) -> Workload:
@@ -324,11 +447,10 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
     else:
         raw = source
         base_dir = base_dir or Path.cwd()
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"{_pointer(err)}: {err.message}")
+    error = next(_errors(CONFIG_SCHEMA, raw), None)
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"/{'/'.join(map(str, path))}: {message}")
 
     backends = tuple(_build_backend(b) for b in raw["backends"])
     names = [b.name for b in backends]

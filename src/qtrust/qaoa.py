@@ -31,6 +31,11 @@ class LengthMismatch(ValueError):
     pass
 
 
+def _check_capacity(n: int) -> None:
+    if n > MAX_QAOA_NODES:
+        raise CapacityExceeded(f"{n} nodes exceeds {MAX_QAOA_NODES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -39,8 +44,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise GraphError("graph needs at least two nodes")
-        if self.n > MAX_QAOA_NODES:
-            raise CapacityExceeded(f"{self.n} nodes exceeds {MAX_QAOA_NODES}")
+        _check_capacity(self.n)
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
@@ -160,6 +164,7 @@ def cmax(graph: Graph) -> int:
 
 def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """d-regular simple graph from the pairing model, retried on clashes."""
+    _check_capacity(n)  # before the pairing model, whose work grows with n
     if d >= n or (n * d) % 2 != 0:
         raise InfeasibleDegree(f"no {d}-regular simple graph on {n} nodes")
     rng = derive_rng(seed, "regular-graph", n, d)

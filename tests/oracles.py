@@ -4,13 +4,15 @@ The full-unitary, density-matrix and per-shot trajectory oracles build
 every gate as an explicit 2^n x 2^n matrix by basis-state embedding,
 deliberately avoiding the tensordot path the simulator uses, so the two
 can cross-check each other. Gate matrices are restated here from their
-textbook definitions instead of being imported.
+textbook definitions instead of being imported. jsonschema is the
+reference for the config checker; qtrust itself does not import it.
 """
 from __future__ import annotations
 
 import cmath
 import math
 
+import jsonschema
 import numpy as np
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -306,3 +308,10 @@ def string_cut_value(bitstring: str, edges) -> int:
     character n-1-u."""
     n = len(bitstring)
     return sum(1 for u, v in edges if bitstring[n - 1 - u] != bitstring[n - 1 - v])
+
+
+def jsonschema_error_paths(schema: dict, value) -> set[tuple]:
+    """The ``absolute_path`` of every error jsonschema's draft 2020-12
+    validator reports; empty when it accepts ``value``."""
+    validator = jsonschema.Draft202012Validator(schema)
+    return {tuple(error.absolute_path) for error in validator.iter_errors(value)}

@@ -1,8 +1,15 @@
+import copy
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrust import harness, simulator
 from qtrust.cli import main
@@ -15,7 +22,10 @@ from qtrust.harness import (
     write_jsonl,
 )
 
+from oracles import jsonschema_error_paths
+
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_config(**overrides):
@@ -61,6 +71,31 @@ def test_config_error_carries_json_pointer():
     with pytest.raises(ConfigError) as err:
         load_config(base_config(shots="many"))
     assert "/shots" in str(err.value)
+
+
+def test_config_error_is_the_first_in_document_order():
+    # an object's own violation first, then its properties as listed
+    cfg = base_config(shots="many", seeds=[-1], extra=1)
+    with pytest.raises(ConfigError, match=r"^/: Additional properties .*'extra'"):
+        load_config(cfg)
+    del cfg["extra"]
+    with pytest.raises(ConfigError, match="^/shots: 'many' is not of type 'integer'$"):
+        load_config(cfg)
+    cfg = {"seeds": cfg.pop("seeds"), **cfg}
+    with pytest.raises(ConfigError, match="^/seeds/0: -1 is less than the minimum"):
+        load_config(cfg)
+
+
+def test_bad_readout_names_the_broken_rule():
+    # a number can only match the number branch, so its error is reported
+    cfg = base_config()
+    for readout, message in (
+        (0.9, "0.9 is greater than the maximum of 0.5"),
+        ([0.1, 0.9], r"\[0.1, 0.9\] is not valid under any of the given schemas"),
+    ):
+        cfg["backends"][1]["readout"] = readout
+        with pytest.raises(ConfigError, match=f"^/backends/1/readout: {message}$"):
+            load_config(cfg)
 
 
 def test_config_rejects_unknown_field():
@@ -149,6 +184,7 @@ BAD_GRAPHS = {
     "out_of_range_edge": {"nodes": 4, "edges": [[0, 9]]},
     "self_loop": {"nodes": 4, "edges": [[2, 2]]},
     "too_many_nodes": {"nodes": 30, "degree": 3},
+    "far_too_many_nodes": {"nodes": 200_000, "degree": 3},
 }
 
 
@@ -161,6 +197,33 @@ def test_bad_qaoa_graph_is_config_error(tmp_path, capsys, graph):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 2
     assert "config error: /workload/qaoa:" in capsys.readouterr().err
+
+
+# Python's json reads NaN and Infinity; past the load, each of these would
+# fail every cell, or escape as a NoiseError (readout)
+NON_FINITE = {
+    "t_sweep": (("t_sweep",), [math.nan], "/t_sweep/0"),
+    "drift": (("backends", 1, "drift"), math.inf, "/backends/1/drift"),
+    "readout": (("backends", 1, "readout"), math.nan, "/backends/1/readout"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, pointer", NON_FINITE.values(), ids=list(NON_FINITE)
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, path, value, pointer):
+    cfg = base_config()
+    *parents, key = path
+    target = cfg
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))  # writes NaN / Infinity literals
+    with pytest.raises(ConfigError, match=f"^{pointer}: "):
+        load_config(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"config error: {pointer}:" in capsys.readouterr().err
 
 
 def test_config_from_file(tmp_path):
@@ -177,6 +240,242 @@ def test_qasm_workload_resolves_relative_to_config(tmp_path):
     config = load_config(path)
     assert config.workload.prepared.circuit.num_qubits == 2
     assert config.workload.correct in ("00", "11")
+
+
+# --- config checker against jsonschema -----------------------------------------
+
+# valid configs that between them reach every part of CONFIG_SCHEMA
+CHECKER_BASES = [
+    base_config(
+        schema_version=1,
+        backends=[
+            {"name": "a", "readout": 0.02, "gate_depolarizing": 0.0, "drift": 0.0},
+            {
+                "name": "b",
+                "readout": [0.01, 0.5],
+                "tamper": {"mode": "targeted", "t": 1},
+            },
+            {
+                "name": "c",
+                "readout": [[0, 0.1], [0.2, 0.3]],
+                "tamper": {"mode": "random_subset", "t": 0.25, "k": 2},
+            },
+        ],
+        shots_sweep=[10, 20.0],
+        t_sweep=[0, 0.5, 1.0],
+        defense={
+            "mode": "adaptive",
+            "k": 10,
+            "r": 2,
+            "order": ["tvd", "pm", "repeatability", "confidence"],
+            "probe_iterations": 1,
+            "probe_runs": 1,
+        },
+        master_seed=3,
+        out="out.jsonl",
+    ),
+    base_config(
+        workload={
+            "qaoa": {
+                "nodes": 4,
+                "degree": 3,
+                "edges": [[0, 1], [1, 2]],
+                "graph_seed": -1,
+                "p": 1,
+                "iterations": 5,
+                "shots_per_iter": 10,
+            }
+        },
+        defense={"mode": "qaoa_split"},
+    ),
+    base_config(workload={"qasm": "circuit.qasm"}),
+]
+
+# values a mutation writes: wrong types, a bool for a number, 1.0 for an
+# integer, out-of-range and non-finite numbers, and the schema's own words
+_SPECIAL = [0, 0.0, -0.0, 1, 1.0, 2.5, 0.5, 0.51, -1, 9, 10, 20, True, False]
+_WORDS = ["", "none", "equal", "adaptive", "targeted", "random_all", "tvd", "pm"]
+_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 25)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(_SPECIAL + _WORDS)
+)
+_json = st.recursive(
+    _leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["mode", "t", "k", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+_probability = st.sampled_from([0, 0.0, 0.5, 0.6, -0.1, 1, True]) | _leaf
+_readout = st.one_of(
+    _probability,
+    st.lists(_probability, max_size=3),
+    st.lists(st.lists(_probability, max_size=3), max_size=3),
+    st.lists(st.lists(st.lists(_probability, max_size=2), max_size=2), max_size=2),
+)
+_KEYS = sorted(
+    {"extra", "name", "readout", "tamper", "mode", "t", "k", "nodes", "degree"}
+    | harness.CONFIG_SCHEMA["properties"].keys()
+)
+
+
+def _nodes(value, path=()):
+    """Every (path, value) pair of a JSON document, the root first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _nodes(item, (*path, key))
+
+
+def _twins(value) -> list:
+    """Copies of ``value`` and values of another type that equal it under
+    JSON Schema (1 and 1.0) or only look equal (1 and True)."""
+    twins = [copy.deepcopy(value)]
+    if isinstance(value, bool):
+        twins.append(int(value))
+    elif isinstance(value, (int, float)) and math.isfinite(value) and value % 1 == 0:
+        twins += [int(value), float(value)] + ([bool(value)] if value in (0, 1) else [])
+    return twins
+
+
+def _mutate(data, doc):
+    """Drop a key or item, add one, replace a value, repeat an array item
+    (or its twin), or set a backend's readout to some shape."""
+    nodes = dict(_nodes(doc))
+    path = data.draw(st.sampled_from(list(nodes)))
+    target, parent = nodes[path], nodes[path[:-1]] if path else None
+    kind = data.draw(st.sampled_from(["drop", "add", "replace", "repeat", "readout"]))
+    if kind == "drop" and parent is not None:
+        del parent[path[-1]]
+    elif kind == "add" and isinstance(target, dict):
+        target[data.draw(st.sampled_from(_KEYS))] = data.draw(_json)
+    elif kind == "add" and isinstance(target, list):
+        target.append(data.draw(_json))
+    elif kind == "replace" and parent is not None:
+        parent[path[-1]] = data.draw(_json)
+    elif kind == "repeat" and isinstance(target, list) and target:
+        item = data.draw(st.sampled_from(target))
+        target.append(data.draw(st.sampled_from(_twins(item))))
+    elif kind == "readout":
+        backends = [
+            value
+            for where, value in nodes.items()
+            if len(where) == 2 and where[0] == "backends" and isinstance(value, dict)
+        ]
+        if backends:
+            data.draw(st.sampled_from(backends))["readout"] = data.draw(_readout)
+
+
+def _finite(doc) -> bool:
+    return all(
+        not isinstance(v, float) or math.isfinite(v) for _, v in _nodes(doc)
+    )
+
+
+def test_checker_bases_are_valid():
+    for doc in CHECKER_BASES:
+        assert next(harness._errors(harness.CONFIG_SCHEMA, doc), None) is None
+        assert not jsonschema_error_paths(harness.CONFIG_SCHEMA, doc)
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_checker_agrees_with_jsonschema(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(CHECKER_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    ours = next(harness._errors(harness.CONFIG_SCHEMA, doc), None)
+    reference = jsonschema_error_paths(harness.CONFIG_SCHEMA, doc)
+    if not _finite(doc):
+        # jsonschema counts NaN and Infinity as numbers; the checker does not
+        assert ours is not None
+        return
+    assert (ours is None) == (not reference)
+    if ours is not None:
+        assert ours[0] in reference
+
+
+KEYWORD_CASES = [
+    ({"uniqueItems": True}, [0, 0.0]),
+    ({"uniqueItems": True}, [1, True]),
+    ({"uniqueItems": True}, [0, False]),
+    ({"uniqueItems": True}, [[1], [1.0]]),
+    ({"uniqueItems": True}, [[1], [True]]),
+    ({"uniqueItems": True}, [{"a": [0]}, {"a": [0.0]}]),
+    ({"uniqueItems": True}, [{"a": 1}, {"a": True}, [], {}]),
+    ({"const": 1}, 1.0),
+    ({"const": 1}, True),
+    ({"enum": [0, [1]]}, False),
+    ({"enum": [0, [1]]}, [1.0]),
+    ({"enum": [0, [1]]}, [True]),
+    ({"type": "integer"}, 1.0),
+    ({"type": "integer"}, 1.5),
+    ({"type": "integer"}, True),
+    ({"type": "number"}, False),
+    ({"type": "number", "maximum": 0.5}, "1"),
+    ({"minItems": 2}, "a"),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, "1"),
+]
+
+
+@pytest.mark.parametrize("schema, value", KEYWORD_CASES)
+def test_checker_keywords_match_jsonschema(schema, value):
+    ours = [path for path, _ in harness._errors(schema, value)]
+    assert ours == sorted(jsonschema_error_paths(schema, value))
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("oneOf", ()):
+        yield from _subschemas(sub)
+
+
+def test_config_schema_uses_only_checked_keywords():
+    # a keyword the checker does not implement would be skipped silently
+    for schema in _subschemas(harness.CONFIG_SCHEMA):
+        assert schema.keys() <= harness._KEYWORDS, schema
+        assert schema.get("type", "object") in harness._TYPES, schema
+        assert schema.get("additionalProperties", False) is False, schema
+
+
+def _python(code: str, *args: str) -> str:
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_qtrust_runs_without_jsonschema():
+    plain = "import sys, qtrust; print('jsonschema' in sys.modules)"
+    assert _python(plain) == "False"
+    blocked = """
+import json, sys
+sys.modules["jsonschema"] = None  # any import of it now fails
+from qtrust.harness import ConfigError, load_config, run_experiment
+records, errors = run_experiment(load_config(json.loads(sys.argv[1])))
+try:
+    load_config({})
+except ConfigError as exc:
+    print(len(records), len(errors), exc)
+"""
+    out = _python(blocked, json.dumps(base_config(shots=100)))
+    assert out == "4 0 /: 'workload' is a required property"
 
 
 # --- execution --------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CapacityExceeded, GateKind
+from qtrust import qaoa
 from qtrust.metrics import Counts, to_vector
 from qtrust.qaoa import (
     MAX_QAOA_NODES,
@@ -101,11 +102,16 @@ def test_cut_kernel_matches_string_reference(n):
     assert exact_expectation(dist, graph) == sum(p * cut[k] for k, p in dist.items())
 
 
-def test_graph_node_limit():
+def test_graph_node_limit(monkeypatch):
     widest = Graph.from_edges(MAX_QAOA_NODES, [(0, MAX_QAOA_NODES - 1)])
     assert widest.cuts.size == 1 << MAX_QAOA_NODES
     with pytest.raises(CapacityExceeded):
         Graph.from_edges(MAX_QAOA_NODES + 1, [(0, 1)])
+    # the limit is checked before the pairing model, whose work grows with
+    # the node count: a stream drawn for it fails the test
+    monkeypatch.setattr(qaoa, "derive_rng", None)
+    with pytest.raises(CapacityExceeded, match="^200000 nodes exceeds 20$"):
+        random_regular_graph(200_000, 3, seed=0)
 
 
 def test_cmax_capacity_guard():
