@@ -10,7 +10,6 @@ from .adversary import (
     TamperSpec,
     masked_rae,
     plan_targeted,
-    tamper_channel,
 )
 from .backend import BackendModel, NoiseModel
 from .benchmarks import BENCHMARK_NAMES, LARGE_BENCHMARK_NAMES, Benchmark, builtin
@@ -43,7 +42,6 @@ from .rng import derive_rng, derive_seed
 from .simulator import (
     Counts,
     Prepared,
-    apply_readout_channel,
     clean_distribution,
     execute,
     prepare,

@@ -4,8 +4,8 @@ provider uses to hide the extra flip probability inside quoted readout
 error figures.
 
 Tampering and readout error are one tensored bit-flip map with different
-probabilities: ``flip_channel`` on a dense outcome vector, which
-``tamper_channel`` wraps for histograms. Line i is the i-th character from the
+probabilities: ``flip_channel`` on a dense outcome vector, such as the
+``vector`` of a ``metrics.Counts``. Line i is the i-th character from the
 right of a key (q_i under the q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metrics import Counts, ranked, to_vector
+from .metrics import Counts, ranked
 
 
 class TamperError(ValueError):
@@ -93,7 +93,7 @@ class MaskingReport:
     net_rae: float
 
 
-def plan_targeted(untampered: dict[str, int]) -> tuple[int, ...]:
+def plan_targeted(untampered: Counts) -> tuple[int, ...]:
     """Lines where the most frequent outcome and the runner-up differ.
 
     The counts come from a clean execution the rogue provider runs
@@ -120,14 +120,6 @@ def flip_channel(
         m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
         probs = (m @ probs.reshape(-1, 2, 1 << line)).reshape(-1)
     return probs
-
-
-def tamper_channel(dist: dict[str, float], spec: TamperSpec) -> Counts:
-    """Symmetric bit-flip with probability t on every targeted line."""
-    if not dist:
-        return Counts(np.zeros(1))
-    flips = spec.flips(len(next(iter(dist))))
-    return Counts(flip_channel(to_vector(dist), flips))
 
 
 def masked_rae(

@@ -249,6 +249,18 @@ def _canonical(value):
     return ("other", id(value))
 
 
+#: longest quoted value in a config error message, ellipsis included
+_QUOTE_LIMIT = 80
+
+
+def _quote(value) -> str:
+    """``repr(value)``, cut to ``_QUOTE_LIMIT`` characters with an ellipsis."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return text[: _QUOTE_LIMIT - 3] + "..."
+
+
 def _errors(schema: dict, value, path: tuple = ()):
     """Yield ``(path, message)`` for each violation of ``schema`` by
     ``value``, in document order: a value's own violations come before
@@ -256,15 +268,15 @@ def _errors(schema: dict, value, path: tuple = ()):
     kind = schema.get("type")
     if kind in ("number", "integer") and isinstance(value, float):
         if not math.isfinite(value):
-            yield path, f"{value!r} is not a finite number"
+            yield path, f"{_quote(value)} is not a finite number"
             return
     if kind is not None and not _TYPES[kind](value):
-        yield path, f"{value!r} is not of type {kind!r}"
+        yield path, f"{_quote(value)} is not of type {kind!r}"
         return
     if "const" in schema and _canonical(value) != _canonical(schema["const"]):
         yield path, f"{schema['const']!r} was expected"
     if "enum" in schema and _canonical(value) not in map(_canonical, schema["enum"]):
-        yield path, f"{value!r} is not one of {schema['enum']!r}"
+        yield path, f"{_quote(value)} is not one of {schema['enum']!r}"
     if "oneOf" in schema:
         branches = schema["oneOf"]
         firsts = [next(_errors(branch, value, path), None) for branch in branches]
@@ -278,30 +290,30 @@ def _errors(schema: dict, value, path: tuple = ()):
             if len(typed) == 1 and typed[0][0] == path:
                 yield typed[0]
             else:
-                yield path, f"{value!r} is not valid under any of the given schemas"
+                yield path, f"{_quote(value)} is not valid under any of the given schemas"
         elif firsts.count(None) > 1:
             valid = [branch for branch, first in zip(branches, firsts) if first is None]
             listed = ", ".join(map(repr, valid))
-            yield path, f"{value!r} is valid under each of {listed}"
+            yield path, f"{_quote(value)} is valid under each of {listed}"
     if _is_number(value):
         low, high = schema.get("minimum"), schema.get("maximum")
         if low is not None and value < low:
-            yield path, f"{value!r} is less than the minimum of {low!r}"
+            yield path, f"{_quote(value)} is less than the minimum of {low!r}"
         if high is not None and value > high:
-            yield path, f"{value!r} is greater than the maximum of {high!r}"
+            yield path, f"{_quote(value)} is greater than the maximum of {high!r}"
     for keyword, (applies_to, lower, message) in _SIZES.items():
         if keyword not in schema or not isinstance(value, applies_to):
             continue
         limit = schema[keyword]
         if lower and len(value) < limit:
             empty = limit == 1
-            yield path, f"{value!r} {'should be non-empty' if empty else message}"
+            yield path, f"{_quote(value)} {'should be non-empty' if empty else message}"
         elif not lower and len(value) > limit:
             empty = limit == 0
-            yield path, f"{value!r} {'is expected to be empty' if empty else message}"
+            yield path, f"{_quote(value)} {'is expected to be empty' if empty else message}"
     if isinstance(value, list):
         if schema.get("uniqueItems") and len(set(map(_canonical, value))) < len(value):
-            yield path, f"{value!r} has non-unique elements"
+            yield path, f"{_quote(value)} has non-unique elements"
         if "items" in schema:
             for i, item in enumerate(value):
                 yield from _errors(schema["items"], item, (*path, i))
@@ -729,11 +741,32 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    """The records of a results file; an ``IoError`` names the path, and
+    the line of a record that is not JSON, not an object or lacks a key."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such results file: {path}")
-    with path.open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    try:
+        with path.open() as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read results file {path}: {exc}")
+    records = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{number}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IoError(f"{where}: invalid JSON: {exc}")
+        if not isinstance(record, dict):
+            raise IoError(f"{where}: record is not a JSON object")
+        missing = [f for f in _RECORD_ORDER if f not in record]
+        if missing:
+            raise IoError(f"{where}: record lacks {', '.join(missing)}")
+        records.append(record)
+    return records
 
 
 _SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")

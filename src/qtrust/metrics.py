@@ -1,7 +1,7 @@
 """Outcome-quality metrics: performance metric (PM), total variation
 distance (TVD), counts stitching and ranking. Each reads the dense vector
-behind ``Counts``, the one histogram type (shot counts or probabilities);
-a plain dict histogram is converted by ``to_vector``.
+behind ``Counts``, the one histogram type they take and return (shot
+counts or probabilities); wrap a vector of your own as ``Counts(vector)``.
 
 PM uses math.inf as the sentinel when no incorrect outcome was observed;
 inf compares greater than any finite PM, which is exactly the intended
@@ -51,39 +51,23 @@ def _width(vec: np.ndarray) -> int:
     return vec.size.bit_length() - 1
 
 
-def to_vector(hist: Mapping[str, float]) -> np.ndarray:
-    """Dense vector of a histogram: a ``Counts``' own vector, or one built
-    from a plain dict (integer values give an integer vector)."""
-    if isinstance(hist, Counts):
-        return hist.vector
-    widths = {len(k) for k in hist}
-    if len(widths) != 1:
-        raise KeyLengthMismatch(
-            f"mixed key lengths {sorted(widths)}" if widths else "empty histogram"
-        )
-    values = np.array(list(hist.values()))
-    vec = np.zeros(1 << widths.pop(), dtype=values.dtype)
-    vec[[int(k, 2) for k in hist]] = values
-    return vec
-
-
-def ranked(hist: Mapping, k: int | None = None) -> list[tuple]:
+def ranked(hist: Counts, k: int | None = None) -> list[tuple]:
     """The first ``k`` (default all) nonzero items by descending value,
     ties broken toward the smallest key."""
-    vec = to_vector(hist)
+    vec = hist.vector
     nonzero = np.flatnonzero(vec)
     order = nonzero[np.argsort(-vec[nonzero], kind="stable")][:k]
     fmt = f"0{_width(vec)}b"
     return [(format(i, fmt), v) for i, v in zip(order.tolist(), vec[order].tolist())]
 
 
-def pm(counts: Mapping[str, int], correct: str) -> float:
+def pm(counts: Counts, correct: str) -> float:
     """P(correct) / max over incorrect outcomes of P(outcome).
 
     Returns math.inf when only the correct outcome was observed, 0.0 when
     the correct outcome was never observed.
     """
-    vec = to_vector(counts)
+    vec = counts.vector
     if len(correct) != _width(vec) or correct.strip("01"):
         raise KeyLengthMismatch(
             f"correct string {correct!r} is not a {_width(vec)}-bit key"
@@ -96,9 +80,9 @@ def pm(counts: Mapping[str, int], correct: str) -> float:
     return good / worst_bad
 
 
-def tvd(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+def tvd(a: Counts, b: Counts) -> float:
     """Half L1 distance between two (normalized) histograms."""
-    va, vb = to_vector(a), to_vector(b)
+    va, vb = a.vector, b.vector
     if va.size != vb.size:
         raise KeyLengthMismatch(f"mixed key lengths ({_width(va)} and {_width(vb)})")
     # Python's sum, in key order, is bit-reproducible; numpy's .sum() is not
@@ -108,17 +92,17 @@ def tvd(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return 0.5 * sum(np.abs(va / ta - vb / tb).tolist())
 
 
-def stitch(parts: list[Mapping[str, int]]) -> Counts:
+def stitch(parts: list[Counts]) -> Counts:
     """Key-wise sum of count histograms."""
-    vecs = [to_vector(part) for part in parts]
+    vecs = [part.vector for part in parts]
     widths = {_width(vec) for vec in vecs}
     if len(widths) > 1:
         raise KeyLengthMismatch(f"mixed key lengths {sorted(widths)}")
     return Counts(sum(vecs) if vecs else np.zeros(1, dtype=np.int64))
 
 
-def top_outcome(counts: Mapping[str, int]) -> tuple[str, float]:
+def top_outcome(counts: Counts) -> tuple[str, float]:
     """Modal outcome and its empirical probability (lexicographic tie-break)."""
-    vec = to_vector(counts)
+    vec = counts.vector
     i = int(np.argmax(vec))  # the first maximum is the smallest key
     return format(i, f"0{_width(vec)}b"), vec[i].item() / sum(vec.tolist())

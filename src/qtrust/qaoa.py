@@ -12,7 +12,7 @@ import numpy as np
 
 from .backend import BackendModel
 from .circuit import Circuit, CircuitBuilder, GateKind, CapacityExceeded
-from .metrics import to_vector
+from .metrics import Counts
 from .rng import derive_rng, derive_seed
 from .simulator import execute
 
@@ -141,16 +141,16 @@ def cut_value(bitstring: str, graph: Graph) -> int:
     return int(graph.cuts[int(bitstring, 2)])
 
 
-def expectation(counts: dict[str, int], graph: Graph) -> float:
+def expectation(counts: Counts, graph: Graph) -> float:
     """Shot-weighted mean cut value."""
     if not counts:
         raise LengthMismatch("empty counts")
-    return exact_expectation(counts, graph) / to_vector(counts).sum().item()
+    return exact_expectation(counts, graph) / counts.vector.sum().item()
 
 
-def exact_expectation(dist: dict[str, float], graph: Graph) -> float:
+def exact_expectation(dist: Counts, graph: Graph) -> float:
     """Sum of weight times cut value (an integer dot product for counts)."""
-    vec = to_vector(dist)
+    vec = dist.vector
     if vec.size != graph.cuts.size:
         raise LengthMismatch(f"{vec.size}-entry histogram for {graph.n} nodes")
     index = np.flatnonzero(vec)

@@ -1,11 +1,11 @@
-"""Dense statevector execution, readout-noise channels and seeded shot
+"""Dense statevector execution, readout and tamper noise, and seeded shot
 sampling.
 
 One dense vector indexed by the integer outcome runs through readout and
-tamper flips (both ``adversary.flip_channel``) to the multinomial draw, and
-every result is a ``metrics.Counts`` view of the vector computed: of
-probabilities or of shot counts. Keys follow the q_{n-1}...q_0 convention;
-line 0 is the rightmost character.
+tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
+``sample_counts`` takes a ``metrics.Counts``, and every result is one: a
+view of the vector computed, of probabilities or of shot counts. Keys
+follow the q_{n-1}...q_0 convention; line 0 is the rightmost character.
 
 ``prepare`` is the one place that evolves a noise-free statevector; every
 entry point takes its ``Prepared`` result or a plain circuit. Gate noise
@@ -23,14 +23,10 @@ from .adversary import flip_channel, plan_targeted, TamperMode
 from .backend import BackendModel, ReadoutPair
 from .circuit import Circuit, CircuitError, GateKind
 from .gates import matrix
-from .metrics import Counts, to_vector
+from .metrics import Counts
 from .rng import derive_rng, derive_seed
 
 PLAN_SHOTS = 10_000  # private clean run the adversary uses to pick targets
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 def _apply_gate(psi: np.ndarray, gate: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -139,26 +135,9 @@ def _trajectory_vector(
     return acc
 
 
-def apply_readout_channel(
-    dist: dict[str, float], pairs: list[ReadoutPair]
-) -> Counts:
-    """Per-line 2x2 stochastic matrix [[1-p01, p10], [p01, 1-p10]].
-
-    ``pairs`` is indexed by line (pairs[0] acts on the rightmost bit).
-    """
-    if not dist:
-        return Counts(np.zeros(1))
-    width = len(next(iter(dist)))
-    if len(pairs) != width:
-        raise DimensionMismatch(
-            f"{len(pairs)} readout channels supplied for {width}-bit keys"
-        )
-    return Counts(flip_channel(to_vector(dist), dict(enumerate(pairs))))
-
-
-def sample_counts(dist: dict[str, float], shots: int, seed: int) -> Counts:
+def sample_counts(dist: Counts, shots: int, seed: int) -> Counts:
     """Seeded multinomial draw; identical inputs give identical Counts."""
-    probs = to_vector(dist)
+    probs = dist.vector
     if shots < 1:
         raise ValueError("shots must be >= 1")
     mass = probs.sum()

@@ -6,6 +6,7 @@ deliberately avoiding the tensordot path the simulator uses, so the two
 can cross-check each other. Gate matrices are restated here from their
 textbook definitions instead of being imported. jsonschema is the
 reference for the config checker; qtrust itself does not import it.
+``as_counts`` turns a dict literal into the ``Counts`` the library takes.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import math
 
 import jsonschema
 import numpy as np
+
+from qtrust.metrics import Counts
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -261,6 +264,15 @@ def _check_widths(keys, width: int | None = None) -> int:
     if width is None:
         raise ValueError("empty histogram")
     return width
+
+
+def as_counts(hist: dict) -> Counts:
+    """The ``Counts`` of a dict literal with keys of one width; integer
+    values give an integer vector."""
+    values = np.array(list(hist.values()))
+    vec = np.zeros(1 << _check_widths(hist.keys()), dtype=values.dtype)
+    vec[[int(k, 2) for k in hist]] = values
+    return Counts(vec)
 
 
 def dict_ranked(hist: dict) -> list[tuple]:

@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from qtrust.adversary import TamperMode, TamperSpec, plan_targeted, tamper_channel
+from qtrust.adversary import TamperMode, TamperSpec, flip_channel
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import BENCHMARK_NAMES, LARGE_BENCHMARK_NAMES, builtin
 from qtrust.defense import equal_split, probe, qaoa_iteration_split, select_backend
 from qtrust.harness import load_config, run_experiment
-from qtrust.metrics import pm, tvd
+from qtrust.metrics import Counts, pm, tvd
 from qtrust.qaoa import (
     Graph,
     QaoaConfig,
@@ -32,7 +32,6 @@ from qtrust.qaoa import (
 )
 from qtrust.rng import derive_rng
 from qtrust.simulator import (
-    apply_readout_channel,
     clean_distribution,
     execute,
     resolve_tamper,
@@ -40,7 +39,7 @@ from qtrust.simulator import (
     sample_counts,
 )
 
-from oracles import oracle_distribution
+from oracles import as_counts, oracle_distribution
 
 NOISE = NoiseModel.symmetric(0.02)
 DRIFT = 0.01
@@ -87,7 +86,8 @@ def test_criterion_02_channel_exactness():
     for t in (0.1, 0.3, 0.5):
         for lines in ((0,), (0, 2)):
             spec = TamperSpec(TamperMode.TARGETED, t, lines=lines)
-            analytic = tamper_channel(apply_readout_channel(ideal, pairs), spec)
+            readout = flip_channel(ideal.vector, dict(enumerate(pairs)))
+            analytic = Counts(flip_channel(readout, spec.flips(3)))
 
             # per-shot Monte-Carlo: sample ideal outcomes, then flip bits
             keys = sorted(ideal)
@@ -106,7 +106,7 @@ def test_criterion_02_channel_exactness():
                 format(v, "03b"): int(c)
                 for v, c in zip(*np.unique(packed, return_counts=True))
             }
-            worst = max(worst, tvd(mc, analytic))
+            worst = max(worst, tvd(as_counts(mc), analytic))
     elapsed = time.perf_counter() - start
     ok = worst < 0.005 and elapsed < 30.0
     _verdict(2, "channel exactness vs Monte-Carlo", ok,
@@ -121,7 +121,7 @@ def test_criterion_03_full_mixing_invariant():
         dist = clean_distribution(BackendModel("hw", NOISE), bench.circuit)
         for line in range(width):
             spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(line,))
-            out = tamper_channel(dist, spec)
+            out = Counts(flip_channel(dist.vector, spec.flips(width)))
             marginal = sum(
                 p for k, p in out.items() if k[width - 1 - line] == "1"
             )
@@ -129,9 +129,8 @@ def test_criterion_03_full_mixing_invariant():
     # sampled check on one representative line
     bench = builtin("toffoli_n3")
     spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(0,))
-    dist = tamper_channel(
-        clean_distribution(BackendModel("hw", NOISE), bench.circuit), spec
-    )
+    clean = clean_distribution(BackendModel("hw", NOISE), bench.circuit)
+    dist = Counts(flip_channel(clean.vector, spec.flips(3)))
     counts = sample_counts(dist, 100_000, seed=0)
     sampled = sum(c for k, c in counts.items() if k[2] == "1") / 100_000
     ok = worst_analytic < 1e-12 and abs(sampled - 0.5) < 0.01
@@ -160,12 +159,13 @@ def _analytic_pm(name: str, t: float, seeds: int = 20) -> float:
     bench = builtin(name)
     backend = BackendModel("hw", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t))
     dist = clean_distribution(backend, bench.circuit)
-    return max(
-        pm(
-            tamper_channel(dist, resolve_tamper(backend, bench.circuit, seed).tamper),
-            bench.expected_output,
-        )
+    width = bench.circuit.num_measured
+    flips = [
+        resolve_tamper(backend, bench.circuit, seed).tamper.flips(width)
         for seed in range(seeds)
+    ]
+    return max(
+        pm(Counts(flip_channel(dist.vector, f)), bench.expected_output) for f in flips
     )
 
 
@@ -228,11 +228,8 @@ def test_criterion_06_equal_split_analytic():
         counts, _ = equal_split([clean_bk, tampered_bk], circuit, 100_000, seed=0)
         resolved = resolve_tamper(tampered_bk, circuit, 0)
         dist_clean = clean_distribution(clean_bk, circuit)
-        dist_tampered = tamper_channel(dist_clean, resolved.tamper)
-        mixture = {
-            k: 0.5 * dist_clean.get(k, 0.0) + 0.5 * dist_tampered.get(k, 0.0)
-            for k in set(dist_clean) | set(dist_tampered)
-        }
+        tampered = flip_channel(dist_clean.vector, resolved.tamper.flips(3))
+        mixture = Counts(0.5 * dist_clean.vector + 0.5 * tampered)
         worst_tvd = max(worst_tvd, tvd(counts, mixture))
         pm_split = pm(counts, "111")
         pm_tampered = statistics.fmean(
@@ -330,13 +327,12 @@ def test_criterion_09_qaoa_tamper_trend():
 
 def test_criterion_10_metric_properties():
     rng = derive_rng("metric-axioms")
-    keys = [format(i, "03b") for i in range(8)]
     worst_axiom = 0.0
     dpi_ok = True
     for _ in range(1000):
-        a = dict(zip(keys, rng.dirichlet(np.ones(8))))
-        b = dict(zip(keys, rng.dirichlet(np.ones(8))))
-        c = dict(zip(keys, rng.dirichlet(np.ones(8))))
+        a = Counts(rng.dirichlet(np.ones(8)))
+        b = Counts(rng.dirichlet(np.ones(8)))
+        c = Counts(rng.dirichlet(np.ones(8)))
         worst_axiom = max(
             worst_axiom,
             abs(tvd(a, b) - tvd(b, a)),          # symmetry
@@ -349,7 +345,10 @@ def test_criterion_10_metric_properties():
         spec = TamperSpec(
             TamperMode.TARGETED, float(rng.uniform(0, 0.5)), lines=lines
         )
-        if tvd(tamper_channel(a, spec), tamper_channel(b, spec)) > tvd(a, b) + 1e-12:
+        flips = spec.flips(3)
+        a_out = Counts(flip_channel(a.vector, flips))
+        b_out = Counts(flip_channel(b.vector, flips))
+        if tvd(a_out, b_out) > tvd(a, b) + 1e-12:
             dpi_ok = False
     ok = worst_axiom < 1e-12 and dpi_ok
     _verdict(10, "TVD axioms + data-processing inequality", ok,

@@ -125,6 +125,16 @@ def test_config_rejects_duplicate_seeds():
             load_config(base_config(**{field: values}))
 
 
+def test_config_error_cuts_a_long_quoted_value():
+    seeds = list(range(10_000)) + [0]
+    with pytest.raises(ConfigError) as err:
+        load_config(base_config(seeds=seeds))
+    message = str(err.value)
+    assert len(message) < 300
+    assert message.startswith("/seeds: [0, 1, 2, ")
+    assert message.endswith("... has non-unique elements")
+
+
 def test_config_rejects_duplicate_backend_names():
     cfg = base_config()
     cfg["backends"][1]["name"] = "hw_a"
@@ -741,6 +751,43 @@ def test_cli_run_and_report(tmp_path, capsys):
     code = main(["report", str(out), "--out", str(report_dir)])
     assert code == 0
     assert (report_dir / "fig6.csv").exists()
+
+
+_RECORD = {
+    "workload": "toffoli_n3",
+    "defense": "none",
+    "t": 0.5,
+    "shots": 100,
+    "seed": 0,
+    "backend": "hw_a",
+    "pm": 2.0,
+}
+
+# a second line `qtrust report` must refuse, and the reason it gives
+BAD_RESULTS = {
+    "truncated": (json.dumps(_RECORD)[:-9], "invalid JSON"),
+    "not_an_object": ("[1, 2]", "record is not a JSON object"),
+    "missing_key": (
+        json.dumps({k: v for k, v in _RECORD.items() if k != "defense"}),
+        "record lacks defense",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, reason", BAD_RESULTS.values(), ids=list(BAD_RESULTS))
+def test_cli_report_names_the_bad_line(tmp_path, capsys, line, reason):
+    path = tmp_path / "results.jsonl"
+    path.write_text(json.dumps(_RECORD) + "\n" + line + "\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: {reason}")
+    assert not (tmp_path / "report").exists()
+
+
+def test_cli_report_unreadable_path(tmp_path, capsys):
+    assert main(["report", str(tmp_path), "--out", str(tmp_path / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read results file") and str(tmp_path) in err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

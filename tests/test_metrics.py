@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import as_counts
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
 from qtrust.metrics import (
@@ -15,7 +16,6 @@ from qtrust.metrics import (
     pm,
     ranked,
     stitch,
-    to_vector,
     top_outcome,
     tvd,
 )
@@ -23,55 +23,66 @@ from qtrust.simulator import execute, run_statevector
 
 
 def test_pm_basic_ratio():
-    counts = {"11": 80, "10": 16, "01": 4}
+    counts = as_counts({"11": 80, "10": 16, "01": 4})
     assert pm(counts, "11") == pytest.approx(5.0)
 
 
 def test_pm_correct_never_observed():
-    assert pm({"00": 10, "01": 5}, "11") == 0.0
+    assert pm(as_counts({"00": 10, "01": 5}), "11") == 0.0
 
 
 def test_pm_only_correct_observed():
-    assert pm({"11": 100}, "11") == math.inf
+    assert pm(as_counts({"11": 100}), "11") == math.inf
 
 
 def test_pm_width_mismatch():
-    with pytest.raises(KeyLengthMismatch):
-        pm({"11": 10}, "111")
-    with pytest.raises(KeyLengthMismatch):
-        pm({"11": 10, "101": 5}, "11")
+    # a correct string of another width, or not of 0s and 1s
+    for correct in ("111", "1", "1a", "2", " 1", "+1", "0b"):
+        with pytest.raises(KeyLengthMismatch):
+            pm(as_counts({"11": 10, "01": 5}), correct)
 
 
 def test_pm_below_one_when_wrong_answer_dominates():
-    assert pm({"00": 60, "11": 40}, "11") < 1.0
+    assert pm(as_counts({"00": 60, "11": 40}), "11") < 1.0
 
 
 def test_tvd_identical():
-    assert tvd({"0": 1, "1": 1}, {"0": 5, "1": 5}) == pytest.approx(0.0)
+    a, b = as_counts({"0": 1, "1": 1}), as_counts({"0": 5, "1": 5})
+    assert tvd(a, b) == pytest.approx(0.0)
 
 
 def test_tvd_disjoint():
-    assert tvd({"0": 10}, {"1": 10}) == pytest.approx(1.0)
+    assert tvd(as_counts({"0": 10}), as_counts({"1": 10})) == pytest.approx(1.0)
 
 
 def test_tvd_known_value():
-    assert tvd({"0": 9, "1": 1}, {"0": 5, "1": 5}) == pytest.approx(0.4)
+    a, b = as_counts({"0": 9, "1": 1}), as_counts({"0": 5, "1": 5})
+    assert tvd(a, b) == pytest.approx(0.4)
 
 
 def test_tvd_normalizes_inputs():
-    assert tvd({"0": 90, "1": 10}, {"0": 0.9, "1": 0.1}) == pytest.approx(0.0)
+    a, b = as_counts({"0": 90, "1": 10}), as_counts({"0": 0.9, "1": 0.1})
+    assert tvd(a, b) == pytest.approx(0.0)
 
 
 def test_tvd_empty_rejected():
+    one = as_counts({"0": 1})
     with pytest.raises(KeyLengthMismatch):
-        tvd({}, {"0": 1})
+        tvd(Counts(np.zeros(2)), one)
+    with pytest.raises(KeyLengthMismatch):
+        tvd(one, Counts(np.zeros(2, dtype=np.int64)))
+
+
+def test_tvd_rejects_mixed_widths():
+    with pytest.raises(KeyLengthMismatch):
+        tvd(as_counts({"0": 1}), as_counts({"00": 1}))
 
 
 _hist = st.dictionaries(
     st.text(alphabet="01", min_size=2, max_size=2),
     st.floats(min_value=0.001, max_value=100.0),
     min_size=1,
-)
+).map(as_counts)
 
 
 @given(_hist, _hist)
@@ -100,13 +111,13 @@ def test_tvd_bounded(a, b):
 
 
 def test_stitch_sums_keywise():
-    out = stitch([{"00": 3, "01": 1}, {"00": 2, "11": 4}])
+    out = stitch([as_counts({"00": 3, "01": 1}), as_counts({"00": 2, "11": 4})])
     assert out == {"00": 5, "01": 1, "11": 4}
 
 
 def test_stitch_rejects_mixed_widths():
     with pytest.raises(KeyLengthMismatch):
-        stitch([{"00": 1}, {"000": 1}])
+        stitch([as_counts({"00": 1}), as_counts({"000": 1})])
 
 
 def test_stitch_empty_parts():
@@ -114,13 +125,13 @@ def test_stitch_empty_parts():
 
 
 def test_top_outcome_and_confidence():
-    top, conf = top_outcome({"00": 6, "11": 4})
+    top, conf = top_outcome(as_counts({"00": 6, "11": 4}))
     assert top == "00"
     assert conf == pytest.approx(0.6)
 
 
 def test_top_outcome_tie_breaks_lexicographically():
-    top, _ = top_outcome({"10": 5, "01": 5})
+    top, _ = top_outcome(as_counts({"10": 5, "01": 5}))
     assert top == "01"
 
 
@@ -131,7 +142,6 @@ def test_counts_is_a_read_only_mapping_view_of_its_vector():
     vector = np.array([0, 3, 0, 5, 1, 0, 0, 0])
     counts = Counts(vector)
     assert counts.vector is vector
-    assert to_vector(counts) is vector
     assert list(counts) == ["001", "011", "100"]  # nonzero keys, key order
     assert len(counts) == 3
     assert counts["011"] == 5 and type(counts["011"]) is int
@@ -205,12 +215,11 @@ def test_vector_metrics_equal_the_dict_references_exactly(data):
     width = data.draw(st.integers(1, 8))
     a, b = data.draw(_histogram(width)), data.draw(_histogram(width))
     correct = data.draw(_keys(width))
-    for hist in (a, Counts(to_vector(a))):
-        assert pm(hist, correct) == oracles.dict_pm(a, correct)
-        assert top_outcome(hist) == oracles.dict_top_outcome(a)
-        assert ranked(hist) == oracles.dict_ranked(a)
-        assert ranked(hist, 2) == oracles.dict_ranked(a)[:2]
-    assert tvd(a, b) == oracles.dict_tvd(a, b)
-    assert tvd(Counts(to_vector(a)), b) == oracles.dict_tvd(a, b)
-    assert stitch([a, b]) == oracles.dict_stitch([a, b])
-    assert stitch([a]) == a
+    ca, cb = as_counts(a), as_counts(b)
+    assert pm(ca, correct) == oracles.dict_pm(a, correct)
+    assert top_outcome(ca) == oracles.dict_top_outcome(a)
+    assert ranked(ca) == oracles.dict_ranked(a)
+    assert ranked(ca, 2) == oracles.dict_ranked(a)[:2]
+    assert tvd(ca, cb) == oracles.dict_tvd(a, b)
+    assert stitch([ca, cb]) == oracles.dict_stitch([a, b])
+    assert stitch([ca]) == a

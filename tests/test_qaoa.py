@@ -7,7 +7,7 @@ import pytest
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CapacityExceeded, GateKind
 from qtrust import qaoa
-from qtrust.metrics import Counts, to_vector
+from qtrust.metrics import Counts
 from qtrust.qaoa import (
     MAX_QAOA_NODES,
     Graph,
@@ -25,7 +25,7 @@ from qtrust.qaoa import (
 )
 from qtrust.simulator import run_statevector
 
-from oracles import string_cut_value
+from oracles import as_counts, string_cut_value
 
 
 def c4():
@@ -96,10 +96,9 @@ def test_cut_kernel_matches_string_reference(n):
     observed = sorted(rng.sample(keys, min(len(keys), 40)))  # key order
     counts = {key: rng.randint(1, 500) for key in observed}
     want = sum(c * cut[key] for key, c in counts.items()) / sum(counts.values())
-    assert expectation(counts, graph) == want
-    assert expectation(Counts(to_vector(counts)), graph) == want
+    assert expectation(as_counts(counts), graph) == want
     dist = {key: rng.random() for key in observed}
-    assert exact_expectation(dist, graph) == sum(p * cut[k] for k, p in dist.items())
+    assert exact_expectation(as_counts(dist), graph) == sum(p * cut[k] for k, p in dist.items())
 
 
 def test_graph_node_limit(monkeypatch):
@@ -121,9 +120,17 @@ def test_cmax_capacity_guard():
 
 def test_expectation_shot_weighted():
     g = Graph.from_edges(2, [(0, 1)])
-    assert expectation({"01": 3, "00": 1}, g) == pytest.approx(0.75)
+    assert expectation(as_counts({"01": 3, "00": 1}), g) == pytest.approx(0.75)
     with pytest.raises(LengthMismatch):
-        expectation({}, g)
+        expectation(Counts(np.zeros(4, dtype=np.int64)), g)
+
+
+def test_expectation_rejects_a_histogram_of_another_width():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(LengthMismatch):
+        exact_expectation(as_counts({"01": 0.5, "10": 0.5}), g)
+    with pytest.raises(LengthMismatch):
+        expectation(as_counts({"0110": 7}), g)
 
 
 def test_random_regular_graph_is_regular():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtrust.adversary import TamperMode, TamperSpec, tamper_channel
+from qtrust.adversary import TamperMode, TamperSpec, flip_channel
 from qtrust import simulator
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
@@ -14,10 +14,8 @@ from qtrust.circuit import CircuitBuilder, GateKind
 from qtrust.metrics import Counts, top_outcome, tvd
 from qtrust.rng import derive_rng
 from qtrust.simulator import (
-    DimensionMismatch,
     _draw_errors,
     _trajectory_vector,
-    apply_readout_channel,
     clean_distribution,
     execute,
     prepare,
@@ -26,6 +24,7 @@ from qtrust.simulator import (
 )
 
 from oracles import (
+    as_counts,
     depolarizing_oracle,
     oracle_distribution,
     per_shot_trajectories,
@@ -132,29 +131,29 @@ def test_distribution_normalized(circuit):
 # --- readout channel --------------------------------------------------------
 
 
+def _readout(dist: dict, pairs: list) -> Counts:
+    """The readout step of ``execute``: ``pairs[i]`` flips line i."""
+    return Counts(flip_channel(as_counts(dist).vector, dict(enumerate(pairs))))
+
+
 def test_readout_channel_single_bit():
-    dist = apply_readout_channel({"0": 1.0}, [(0.1, 0.2)])
+    dist = _readout({"0": 1.0}, [(0.1, 0.2)])
     assert dist["0"] == pytest.approx(0.9)
     assert dist["1"] == pytest.approx(0.1)
-    dist = apply_readout_channel({"1": 1.0}, [(0.1, 0.2)])
+    dist = _readout({"1": 1.0}, [(0.1, 0.2)])
     assert dist["0"] == pytest.approx(0.2)
 
 
 def test_readout_channel_is_per_line():
     # pairs[0] acts on line 0 = rightmost character
-    dist = apply_readout_channel({"00": 1.0}, [(0.3, 0.0), (0.0, 0.0)])
+    dist = _readout({"00": 1.0}, [(0.3, 0.0), (0.0, 0.0)])
     assert dist["01"] == pytest.approx(0.3)
     assert dist["00"] == pytest.approx(0.7)
 
 
-def test_readout_channel_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        apply_readout_channel({"00": 1.0}, [(0.1, 0.1)])
-
-
 def test_readout_channel_identity_when_zero():
     dist = {"01": 0.25, "10": 0.75}
-    out = apply_readout_channel(dist, [(0.0, 0.0)] * 2)
+    out = _readout(dist, [(0.0, 0.0)] * 2)
     assert out == pytest.approx(dist)
 
 
@@ -166,13 +165,8 @@ def test_readout_channel_identity_when_zero():
 @settings(max_examples=50, deadline=None)
 def test_readout_channel_preserves_mass(p01, p10, weight):
     dist = {"0": weight, "1": 1.0 - weight}
-    out = apply_readout_channel(dist, [(p01, p10)])
+    out = _readout(dist, [(p01, p10)])
     assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_channels_map_empty_to_empty():
-    assert apply_readout_channel({}, [(0.1, 0.2)]) == {}
-    assert tamper_channel({}, TamperSpec(TamperMode.TARGETED, 0.3)) == {}
 
 
 _probability = st.floats(min_value=0.0, max_value=1.0)
@@ -199,12 +193,12 @@ def flip_cases(draw):
 def test_channels_match_kronecker_oracle(case):
     dist, pairs, t, lines = case
     width = len(pairs)
-    readout = apply_readout_channel(dist, pairs)
+    readout = _readout(dist, pairs)
     want = readout_oracle(dist, dict(enumerate(pairs)), width)
     for key, p in want.items():
         assert readout.get(key, 0.0) == pytest.approx(p, abs=1e-12)
     spec = TamperSpec(TamperMode.TARGETED, t, lines=lines)
-    tampered = tamper_channel(readout, spec)
+    tampered = Counts(flip_channel(readout.vector, spec.flips(width)))
     want = readout_oracle(readout, {line: (t, t) for line in lines}, width)
     for key, p in want.items():
         assert tampered.get(key, 0.0) == pytest.approx(p, abs=1e-12)
@@ -214,7 +208,7 @@ def test_channels_match_kronecker_oracle(case):
 
 
 def test_sample_counts_deterministic():
-    dist = {"00": 0.5, "11": 0.5}
+    dist = as_counts({"00": 0.5, "11": 0.5})
     a = sample_counts(dist, 1000, seed=7)
     b = sample_counts(dist, 1000, seed=7)
     assert a == b
@@ -228,11 +222,11 @@ def test_sample_counts_deterministic():
 )
 def test_sample_counts_rejects_invalid_distribution(dist):
     with pytest.raises(ValueError):
-        sample_counts(dist, 100, seed=0)
+        sample_counts(as_counts(dist), 100, seed=0)
 
 
 def test_sample_counts_seed_sensitivity():
-    dist = {"00": 0.5, "11": 0.5}
+    dist = as_counts({"00": 0.5, "11": 0.5})
     assert sample_counts(dist, 1000, seed=1) != sample_counts(dist, 1000, seed=2)
 
 
@@ -387,9 +381,10 @@ def test_trajectory_mixture_matches_density_matrix_oracle():
     got = Counts(
         _trajectory_vector(prepare(circuit), p, shots, np.random.default_rng(3))
     )
-    assert tvd(got, want) < bound
+    assert tvd(got, as_counts(want)) < bound
     # the check has power: the noise moves the distribution much further
-    assert tvd(depolarizing_oracle(circuit, 0.0), want) > 5 * bound
+    noiseless = as_counts(depolarizing_oracle(circuit, 0.0))
+    assert tvd(noiseless, as_counts(want)) > 5 * bound
 
 
 def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
