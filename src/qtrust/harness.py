@@ -740,9 +740,17 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# the fields a `qtrust report` builder reads from every record of a mode
+_REPORT_FIELDS = {
+    "adaptive": ("allocations",),
+    "qaoa_adaptive": ("probe_ars", "selected", "ar"),
+}
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """The records of a results file; an ``IoError`` names the path, and
-    the line of a record that is not JSON, not an object or lacks a key."""
+    the line of a record that is not JSON, not an object, lacks a sort key
+    or lacks a field its defense mode's report reads."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such results file: {path}")
@@ -765,6 +773,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
         missing = [f for f in _RECORD_ORDER if f not in record]
         if missing:
             raise IoError(f"{where}: record lacks {', '.join(missing)}")
+        mode = record["defense"]
+        needs = _REPORT_FIELDS.get(mode, ()) if isinstance(mode, str) else ()
+        missing = [f for f in needs if f not in record]
+        if missing:
+            raise IoError(f"{where}: {mode} record lacks {', '.join(missing)}")
         records.append(record)
     return records
 

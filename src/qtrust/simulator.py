@@ -8,9 +8,16 @@ view of the vector computed, of probabilities or of shot counts. Keys
 follow the q_{n-1}...q_0 convention; line 0 is the rightmost character.
 
 ``prepare`` is the one place that evolves a noise-free statevector; every
-entry point takes its ``Prepared`` result or a plain circuit. Gate noise
-evolves each distinct Pauli error pattern of a run once (Monte-Carlo
-wavefunction trajectories weighted by how often each pattern was drawn).
+entry point takes its ``Prepared`` result or a plain circuit. ``_evolve``
+owns one state array, plus one gather buffer of the same size, for the
+whole run: a permutation gate (X, CX, SWAP, CCX) swaps two slices of the
+state in place, and any other gate is one ``matmul`` of its
+``gates.matrix`` against the state gathered with the gate's axes first,
+written back into the state array. Gate noise evolves each distinct Pauli
+error pattern of a run once (Monte-Carlo wavefunction trajectories weighted
+by how often each pattern was drawn), and draws all patterns from the raw
+generator words at once, replaying the stream of one ``random()`` per
+(gate, qubit) exactly.
 """
 from __future__ import annotations
 
@@ -29,17 +36,59 @@ from .rng import derive_rng, derive_seed
 PLAN_SHOTS = 10_000  # private clean run the adversary uses to pick targets
 
 
-def _apply_gate(psi: np.ndarray, gate: np.ndarray, axes: list[int]) -> np.ndarray:
+# Permutation gates: the two basis states of the gate's qubits (bits in
+# listed order) that it exchanges; it leaves every other state alone.
+_SWAPS = {
+    GateKind.X: ((0,), (1,)),
+    GateKind.CX: ((1, 0), (1, 1)),
+    GateKind.SWAP: ((0, 1), (1, 0)),
+    GateKind.CCX: ((1, 1, 0), (1, 1, 1)),
+}
+
+
+def _apply(
+    psi: np.ndarray,
+    kind: GateKind,
+    params: tuple[float, ...],
+    axes: list[int],
+    state: np.ndarray,
+    buffer: np.ndarray,
+) -> np.ndarray:
+    """Apply one gate on ``axes`` of ``psi``, the ``(2,)*n`` qubit-axis view
+    of the flat ``state``; returns the view of ``state`` after the gate.
+
+    A permutation gate swaps the two slices of ``psi`` it exchanges, in
+    place and with no arithmetic, holding one in ``buffer``, and returns
+    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with ``axes``
+    first and writes one ``matmul`` of its 2^k x 2^k matrix against it into
+    ``state``, so the state's memory order changes and the returned view
+    follows it.
+    """
+    swap = _SWAPS.get(kind)
+    if swap is not None:
+        a, b = [slice(None)] * psi.ndim, [slice(None)] * psi.ndim
+        for axis, bit_a, bit_b in zip(axes, *swap):
+            a[axis], b[axis] = bit_a, bit_b
+        a, b = tuple(a), tuple(b)
+        held = buffer[: psi[a].size].reshape(psi[a].shape)
+        np.copyto(held, psi[a])
+        psi[a] = psi[b]
+        psi[b] = held
+        return psi
     k = len(axes)
-    tensor = gate.reshape((2,) * (2 * k))
-    psi = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(psi, range(k), axes)
+    order = axes + [axis for axis in range(psi.ndim) if axis not in axes]
+    np.copyto(buffer.reshape(psi.shape), psi.transpose(order))
+    gate = matrix(kind, params)
+    np.matmul(gate, buffer.reshape(2**k, -1), out=state.reshape(2**k, -1))
+    return state.reshape(psi.shape).transpose(np.argsort(order))
 
 
 _PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
 
 #: Pauli errors of one trajectory: {instruction index: ((qubit, Pauli), ...)}
 Errors = dict[int, tuple[tuple[int, GateKind], ...]]
+#: the same as a hashable ``tuple(errors.items())``; () when nothing hit
+Pattern = tuple[tuple[int, tuple[tuple[int, GateKind], ...]], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +116,10 @@ def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
         raise CircuitError("circuit has no measurements")
     errors = errors or {}
     n = circuit.num_qubits
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[(0,) * n] = 1.0
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    buffer = np.empty_like(state)
+    psi = state.reshape((2,) * n)
     measured: set[int] = set()
     for index, instr in enumerate(circuit.instructions):
         if instr.kind is GateKind.BARRIER:
@@ -79,12 +130,13 @@ def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
         if measured.intersection(instr.qubits):
             raise CircuitError("gate after measurement is unsupported")
         axes = [n - 1 - q for q in instr.qubits]
-        psi = _apply_gate(psi, matrix(instr.kind, instr.params), axes)
+        psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
         for q, kind in errors.get(index, ()):
-            psi = _apply_gate(psi, matrix(kind), [n - 1 - q])
+            psi = _apply(psi, kind, (), [n - 1 - q], state, buffer)
         if __debug__:
-            norm = float(np.sum(np.abs(psi) ** 2))
+            norm = np.vdot(state, state).real
             assert abs(norm - 1.0) < 1e-10, f"norm drifted to {norm}"
+    del buffer  # the probabilities below need the room
     probs = np.abs(psi) ** 2
     front = [n - 1 - q for q, _ in pairs]  # output order, clbit descending
     rest = [a for a in range(n) if a not in front]
@@ -104,19 +156,66 @@ def run_statevector(circuit: Circuit | Prepared) -> Counts:
     return Counts(prepare(circuit).ideal)
 
 
-def _draw_errors(circuit: Circuit, p: float, rng) -> Errors:
-    """One trajectory's Pauli errors: for every (gate, qubit) one
-    ``random()``, and one ``integers(3)`` choosing X, Y or Z per hit."""
-    errors: Errors = {}
-    for index, instr in enumerate(circuit.instructions):
-        if instr.kind in (GateKind.BARRIER, GateKind.MEASURE):
-            continue
-        hits = tuple(
-            (q, _PAULIS[rng.integers(3)]) for q in instr.qubits if rng.random() < p
-        )
-        if hits:
-            errors[index] = hits
-    return errors
+_CHUNK = 1 << 16  # raw words per read; bounds the words held, not the draw
+_TO_DOUBLE = 2.0**-53
+
+
+def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pattern]:
+    """The Pauli error patterns of ``trajectories`` trajectories, drawn as
+    one per-trajectory loop would: for every (gate, qubit) one ``random()``,
+    and one ``integers(3)`` choosing X, Y or Z per hit.
+
+    Reads the raw PCG64 words instead and compares all their doubles
+    ``(u >> 11) * 2**-53`` with ``p`` at once. Only hits go through Python,
+    where ``integers(3)`` is replayed as numpy's Lemire draw (threshold 1)
+    on the buffered ``next_uint32``: the low half of a fresh word, or the
+    high half kept from the previous one. ``rng`` ends in the state the
+    loop would leave it in.
+    """
+    slots = [
+        (index, q)
+        for index, instr in enumerate(circuit.instructions)
+        if instr.kind not in (GateKind.BARRIER, GateKind.MEASURE)
+        for q in instr.qubits
+    ]
+    found: dict[int, Errors] = {}  # trajectory -> its errors, if any
+    bitgen = rng.bit_generator
+    first = bitgen.state
+    has, held = first["has_uint32"], first["uinteger"]  # the uint32 buffer
+    total, slot = len(slots) * trajectories, 0  # slot: next unread double
+    while slot < total:
+        words = bitgen.random_raw(min(total - slot, _CHUNK))
+        hits = np.flatnonzero((words >> np.uint64(11)) * _TO_DOUBLE < p)
+        start = 0  # the word of `slot`'s double
+        for hit in hits.tolist():
+            if hit < start:
+                continue  # the word fed an integers(3) draw
+            slot += hit - start
+            start = hit + 1
+            while True:
+                if has:
+                    has, value = 0, held * 3
+                else:
+                    word = int(words[start]) if start < words.size else bitgen.random_raw()
+                    start += 1
+                    has, held, value = 1, word >> 32, (word & 0xFFFFFFFF) * 3
+                if value & 0xFFFFFFFF:  # Lemire rejects a zero remainder
+                    break
+            trajectory, at = divmod(slot, len(slots))
+            index, q = slots[at]
+            errors = found.setdefault(trajectory, {})
+            errors[index] = errors.get(index, ()) + ((q, _PAULIS[value >> 32]),)
+            slot += 1
+        # past the end when the last draw read a fresh word of its own
+        slot += max(words.size - start, 0)
+    if (has, held) != (first["has_uint32"], first["uinteger"]):
+        state = bitgen.state
+        state.update(has_uint32=has, uinteger=held)
+        bitgen.state = state
+    patterns: list[Pattern] = [()] * trajectories
+    for trajectory, errors in found.items():
+        patterns[trajectory] = tuple(errors.items())
+    return patterns
 
 
 def _trajectory_vector(
@@ -124,10 +223,7 @@ def _trajectory_vector(
 ) -> np.ndarray:
     """Mean of ``trajectories`` Pauli trajectories, evolving each distinct
     error pattern once and weighting it by how often it was drawn."""
-    drawn = Counter(
-        tuple(_draw_errors(prepared.circuit, depolarizing, rng).items())
-        for _ in range(trajectories)
-    )
+    drawn = Counter(_draw_errors(prepared.circuit, depolarizing, rng, trajectories))
     acc = 0.0
     for pattern, count in drawn.items():  # first-drawn order
         vec = _evolve(prepared.circuit, dict(pattern)) if pattern else prepared.ideal

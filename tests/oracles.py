@@ -2,9 +2,12 @@
 
 The full-unitary, density-matrix and per-shot trajectory oracles build
 every gate as an explicit 2^n x 2^n matrix by basis-state embedding,
-deliberately avoiding the tensordot path the simulator uses, so the two
-can cross-check each other. Gate matrices are restated here from their
-textbook definitions instead of being imported. jsonschema is the
+deliberately avoiding the simulator's in-place slice-swap and matmul
+kernel, so the two can cross-check each other. Gate matrices are restated
+here from their textbook definitions instead of being imported.
+``tensordot_apply`` is the simulator's earlier gate kernel, kept as the
+reference for the in-place one, and ``per_call_errors`` its earlier
+per-draw trajectory error stream. jsonschema is the
 reference for the config checker; qtrust itself does not import it.
 ``as_counts`` turns a dict literal into the ``Counts`` the library takes.
 """
@@ -191,6 +194,29 @@ def per_shot_trajectories(circuit, p: float, shots: int, rng) -> np.ndarray:
                     psi = paulis[q][rng.integers(3)] @ psi
         acc += _measured(np.abs(psi) ** 2, circuit) / shots
     return acc
+
+
+def tensordot_apply(psi: np.ndarray, gate: np.ndarray, axes) -> np.ndarray:
+    """A new state: ``gate`` (k qubits, first listed most significant)
+    contracted with ``psi`` of shape ``(2,)*n`` on ``axes`` by tensordot."""
+    k = len(axes)
+    tensor = gate.reshape((2,) * (2 * k))
+    out = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, range(k), axes)
+
+
+def per_call_errors(circuit, p: float, rng) -> dict:
+    """One trajectory's Pauli errors, one generator call per draw: for every
+    (gate, qubit) one ``rng.random()``, and on a hit one ``rng.integers(3)``
+    picking X, Y or Z. {instruction index: ((qubit, "x" | "y" | "z"), ...)}"""
+    errors = {}
+    for index, instr in enumerate(circuit.instructions):
+        if instr.kind.value in ("barrier", "measure"):
+            continue
+        hits = tuple((q, "xyz"[rng.integers(3)]) for q in instr.qubits if rng.random() < p)
+        if hits:
+            errors[index] = hits
+    return errors
 
 
 def flip_monte_carlo(

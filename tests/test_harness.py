@@ -771,6 +771,15 @@ BAD_RESULTS = {
         json.dumps({k: v for k, v in _RECORD.items() if k != "defense"}),
         "record lacks defense",
     ),
+    # fields one report builder reads: each used to end in a KeyError
+    "adaptive_without_allocations": (
+        json.dumps({**_RECORD, "defense": "adaptive", "selected": "hw_a"}),
+        "adaptive record lacks allocations",
+    ),
+    "qaoa_adaptive_without_probe_ars": (
+        json.dumps({**_RECORD, "defense": "qaoa_adaptive", "selected": "hw_a", "ar": 0.9}),
+        "qaoa_adaptive record lacks probe_ars",
+    ),
 }
 
 

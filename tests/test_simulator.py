@@ -27,8 +27,11 @@ from oracles import (
     as_counts,
     depolarizing_oracle,
     oracle_distribution,
+    per_call_errors,
     per_shot_trajectories,
     readout_oracle,
+    reference_matrix,
+    tensordot_apply,
 )
 
 
@@ -362,7 +365,7 @@ def test_gate_noise_execute_evolves_each_distinct_pattern_once(monkeypatch):
     backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.01))
     shots, seed = 500, 4
     rng = derive_rng(seed, backend.name, "trajectories")
-    patterns = {tuple(_draw_errors(circuit, 0.01, rng).items()) for _ in range(shots)}
+    patterns = set(_draw_errors(circuit, 0.01, rng, shots))
     distinct = len(patterns - {()})
     assert 1 < distinct < shots
     calls = _count_evolves(monkeypatch)
@@ -399,3 +402,105 @@ def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
     # one ideal plus one per distinct error pattern, not one per shot
     assert calls[0] < 1_000
     assert elapsed < 10.0
+
+
+# --- in-place gate kernel and raw-stream error draws ---------------------------
+
+_UNITARY_KINDS = [k for k in GateKind if k not in (GateKind.BARRIER, GateKind.MEASURE)]
+_PERMUTATION_KINDS = {GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CCX}
+
+
+@st.composite
+def kernel_cases(draw):
+    """n <= 8, one to three gates, each on distinct qubits in random order."""
+    kinds = draw(st.lists(st.sampled_from(_UNITARY_KINDS), min_size=1, max_size=3))
+    n = draw(st.integers(max(kind.arity for kind in kinds), 8))
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    gates = []
+    for kind in kinds:
+        qubits = draw(st.permutations(range(n)))[: kind.arity]
+        gates.append((kind, tuple(draw(angle) for _ in range(kind.num_params)), qubits))
+    return n, gates, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_in_place_kernel_matches_tensordot_oracle(case):
+    # a dense gate changes the state's memory order, so later gates run on
+    # a permuted view: the sequence checks that too
+    n, gates, seed = case
+    rng = np.random.default_rng(seed)
+    want = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+    want /= np.linalg.norm(want)
+    state = want.reshape(-1).copy()
+    buffer = np.empty_like(state)
+    psi = state.reshape(want.shape)
+    exact = True
+    for kind, params, qubits in gates:
+        axes = [n - 1 - q for q in qubits]
+        want = tensordot_apply(want, reference_matrix(kind.value, params), axes)
+        psi = simulator._apply(psi, kind, params, axes, state, buffer)
+        assert np.shares_memory(psi, state)
+        exact = exact and kind in _PERMUTATION_KINDS
+        if exact:
+            assert np.array_equal(psi, want)
+        else:
+            assert np.max(np.abs(psi - want)) <= 1e-12
+
+
+def test_permutation_gates_read_no_matrix(monkeypatch):
+    def no_matrix(kind, params=()):
+        raise AssertionError(f"{kind} read its matrix")
+
+    monkeypatch.setattr(simulator, "matrix", no_matrix)
+    b = CircuitBuilder(3)
+    b.gate(GateKind.X, 0)
+    b.gate(GateKind.CX, 0, 2)
+    b.gate(GateKind.SWAP, 2, 1)
+    b.gate(GateKind.CCX, 1, 0, 2)
+    b.measure_all()
+    assert run_statevector(b.build()).vector.tolist() == [0.0] * 7 + [1.0]  # "111"
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9])
+def test_norm_check_catches_a_non_unitary_gate(monkeypatch, scale):
+    real = simulator.matrix
+
+    def scaled_h(kind, params=()):
+        gate = real(kind, params)
+        return scale * gate if kind is GateKind.H else gate
+
+    monkeypatch.setattr(simulator, "matrix", scaled_h)
+    with pytest.raises(AssertionError, match="norm drifted"):
+        simulator._evolve(_bell())
+
+
+def _as_names(pattern):
+    return {index: tuple((q, kind.value) for q, kind in hits) for index, hits in pattern}
+
+
+def _check_draws_match_per_call(circuit, p, seed, trajectories):
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:  # start with half a word left in the uint32 buffer
+        want_rng.integers(3)
+        got_rng.integers(3)
+    want = [per_call_errors(circuit, p, want_rng) for _ in range(trajectories)]
+    got = _draw_errors(circuit, p, got_rng, trajectories)
+    assert [_as_names(pattern) for pattern in got] == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [0.001, 0.002, 0.01, 0.05, 0.3])
+@pytest.mark.parametrize("name", ["adder_n10", "noisy"])
+def test_raw_stream_draws_match_per_call_draws(name, p):
+    circuit = builtin("adder_n10").circuit if name == "adder_n10" else _noisy_circuit()
+    for seed in range(6):
+        _check_draws_match_per_call(circuit, p, seed, 200)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
+def test_raw_stream_draws_match_across_buffer_refills(monkeypatch, p):
+    # a 5-word buffer refills mid-trajectory and runs out inside integers(3)
+    monkeypatch.setattr(simulator, "_CHUNK", 5)
+    for seed in range(6):
+        _check_draws_match_per_call(_noisy_circuit(), p, seed, 40)
