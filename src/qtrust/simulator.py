@@ -8,7 +8,9 @@ view of the vector computed, of probabilities or of shot counts. Keys
 follow the q_{n-1}...q_0 convention; line 0 is the rightmost character.
 
 ``prepare`` is the one place that evolves a noise-free statevector; every
-entry point takes its ``Prepared`` result or a plain circuit. ``_evolve``
+entry point takes its ``Prepared`` result or a plain circuit. The QAOA
+objective builds its ``Prepared`` from ``qaoa.probabilities``, which
+computes the vector of its circuit without evolving gates. ``_evolve``
 owns one state array, plus one gather buffer of the same size, for the
 whole run: a permutation gate (X, CX, SWAP, CCX) swaps two slices of the
 state in place, and any other gate is one ``matmul`` of its
@@ -103,6 +105,11 @@ class Prepared:
     ideal: np.ndarray
 
     def __post_init__(self):
+        width = self.circuit.num_measured
+        if self.ideal.size != 1 << width:
+            raise CircuitError(
+                f"{self.ideal.size}-entry ideal vector for {width} measured bits"
+            )
         # shared by every later stage and cell: a write raises, not corrupts
         self.ideal.flags.writeable = False
 

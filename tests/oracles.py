@@ -7,8 +7,9 @@ kernel, so the two can cross-check each other. Gate matrices are restated
 here from their textbook definitions instead of being imported.
 ``tensordot_apply`` is the simulator's earlier gate kernel, kept as the
 reference for the in-place one, and ``per_call_errors`` its earlier
-per-draw trajectory error stream. jsonschema is the
-reference for the config checker; qtrust itself does not import it.
+per-draw trajectory error stream. ``circuit_objective`` is the QAOA
+objective that evolved the built circuit in every evaluation. jsonschema
+is the reference for the config checker; qtrust itself does not import it.
 ``as_counts`` turns a dict literal into the ``Counts`` the library takes.
 """
 from __future__ import annotations
@@ -19,7 +20,10 @@ import math
 import jsonschema
 import numpy as np
 
+from qtrust import qaoa
 from qtrust.metrics import Counts
+from qtrust.rng import derive_seed
+from qtrust.simulator import execute
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -346,6 +350,27 @@ def string_cut_value(bitstring: str, edges) -> int:
     character n-1-u."""
     n = len(bitstring)
     return sum(1 for u, v in edges if bitstring[n - 1 - u] != bitstring[n - 1 - v])
+
+
+def circuit_objective(self, x) -> float:
+    """``qaoa._Objective.__call__`` with the plain circuit handed to
+    ``execute``, which evolves it gate by gate for the ideal vector."""
+    if self.evals >= self.budget:
+        raise qaoa._BudgetExhausted
+    params = qaoa.QaoaParams.from_vector(x)
+    counts = execute(
+        self.backend,
+        qaoa.build_qaoa_circuit(self.graph, params),
+        self.shots,
+        derive_seed(self.seed, "eval", self.evals),
+    )
+    value = qaoa.expectation(counts, self.graph)
+    self.evals += 1
+    self.trace.append(value)
+    if value > self.best_value:
+        self.best_value = value
+        self.best_params = params
+    return value
 
 
 def jsonschema_error_paths(schema: dict, value) -> set[tuple]:

@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtrust.adversary import TamperMode, TamperSpec
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.circuit import CapacityExceeded, GateKind
-from qtrust import qaoa
+from qtrust import qaoa, simulator
+from qtrust.defense import qaoa_adaptive, qaoa_iteration_split
 from qtrust.metrics import Counts
 from qtrust.qaoa import (
     MAX_QAOA_NODES,
@@ -14,6 +18,7 @@ from qtrust.qaoa import (
     GraphError,
     InfeasibleDegree,
     LengthMismatch,
+    QaoaConfig,
     QaoaParams,
     build_qaoa_circuit,
     cmax,
@@ -25,7 +30,7 @@ from qtrust.qaoa import (
 )
 from qtrust.simulator import run_statevector
 
-from oracles import as_counts, string_cut_value
+from oracles import as_counts, circuit_objective, string_cut_value
 
 
 def c4():
@@ -196,10 +201,39 @@ def test_single_edge_p1_analytic_expectation():
     # E(gamma, beta) = (1 - sin(2 gamma) sin(4 beta)) / 2 for one edge
     g = Graph.from_edges(2, [(0, 1)])
     for gamma, beta in ((0.5, 0.3), (1.2, 0.7), (3 * math.pi / 4, math.pi / 8)):
-        circuit = build_qaoa_circuit(g, QaoaParams((gamma,), (beta,)))
-        value = exact_expectation(run_statevector(circuit), g)
+        params = QaoaParams((gamma,), (beta,))
         expected = 0.5 * (1.0 - math.sin(2 * gamma) * math.sin(4 * beta))
-        assert value == pytest.approx(expected, abs=1e-9)
+        for dist in (
+            run_statevector(build_qaoa_circuit(g, params)),
+            Counts(qaoa.probabilities(g, params)),
+        ):
+            assert exact_expectation(dist, g) == pytest.approx(expected, abs=1e-9)
+
+
+_ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
+
+
+@st.composite
+def qaoa_cases(draw):
+    """Any simple graph on 2-12 nodes, regular or not, with p = 1-3."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    p = draw(st.integers(min_value=1, max_value=3))
+    gamma = draw(st.lists(_ANGLES, min_size=p, max_size=p))
+    beta = draw(st.lists(_ANGLES, min_size=p, max_size=p))
+    return Graph.from_edges(n, edges), QaoaParams(tuple(gamma), tuple(beta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(qaoa_cases())
+def test_probabilities_match_the_evolved_circuit(case):
+    graph, params = case
+    got = qaoa.probabilities(graph, params)
+    want = simulator._evolve(build_qaoa_circuit(graph, params))
+    assert got.shape == want.shape == graph.cuts.shape
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(got.sum() - 1.0) <= 1e-12
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -232,6 +266,61 @@ def test_optimize_warm_start_used():
                       init_params=init)
     # the first evaluation is the warm-start point itself
     assert record.trace[0] >= 0.9
+
+
+def _count_evolves(monkeypatch) -> list[int]:
+    calls = [0]
+    original = simulator._evolve
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    return calls
+
+
+def test_optimize_evolves_no_gates_without_gate_noise(monkeypatch):
+    calls = _count_evolves(monkeypatch)
+    rogue = TamperSpec(TamperMode.RANDOM_ALL, 0.3)
+    backend = BackendModel("hw", NoiseModel.symmetric(0.02), rogue, drift=0.01)
+    record = optimize(backend, c4(), iterations=12, seed=3)
+    assert len(record.trace) == 12
+    assert calls == [0]
+    # gate-noise trajectories still evolve the built circuit
+    noisy = BackendModel("noisy", NoiseModel(gate_depolarizing=0.05))
+    optimize(noisy, c4(), iterations=3, seed=3)
+    assert calls[0] > 0
+
+
+_RECORD_BACKENDS = (
+    BackendModel("ideal", NoiseModel()),
+    BackendModel(
+        "rogue", NoiseModel.symmetric(0.02), TamperSpec(TamperMode.RANDOM_ALL, 0.3)
+    ),
+    BackendModel("noisy", NoiseModel(gate_depolarizing=0.003)),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 31, 412])
+def test_records_equal_those_of_the_circuit_objective(monkeypatch, seed):
+    # not regular: node 5 has degree 1, node 2 degree 3
+    graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)])
+    config = QaoaConfig(p=2, iterations=36, shots_per_iter=50)
+
+    def records():
+        return (
+            [optimize(b, graph, 1, 8, 50, seed) for b in _RECORD_BACKENDS],
+            [
+                qaoa_iteration_split(a, b, graph, config, seed)
+                for a, b in zip(_RECORD_BACKENDS, _RECORD_BACKENDS[1:])
+            ],
+            qaoa_adaptive(list(_RECORD_BACKENDS), graph, config, 3, 2, seed),
+        )
+
+    vector = records()
+    monkeypatch.setattr(qaoa._Objective, "__call__", circuit_objective)
+    assert records() == vector
 
 
 def test_optimize_rejects_bad_budget():

@@ -10,10 +10,11 @@ from qtrust.adversary import TamperMode, TamperSpec, flip_channel
 from qtrust import simulator
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
-from qtrust.circuit import CircuitBuilder, GateKind
+from qtrust.circuit import CircuitBuilder, CircuitError, GateKind
 from qtrust.metrics import Counts, top_outcome, tvd
 from qtrust.rng import derive_rng
 from qtrust.simulator import (
+    Prepared,
     _draw_errors,
     _trajectory_vector,
     clean_distribution,
@@ -335,6 +336,14 @@ def test_prepared_ideal_is_read_only():
         prepared.ideal[0] = 1.0
     with pytest.raises(ValueError):
         prepared.ideal += 0.0
+
+
+def test_prepared_rejects_an_ideal_of_another_width():
+    # a Prepared built by hand, as the QAOA objective does, is checked too
+    bell = _bell()
+    with pytest.raises(CircuitError, match="^8-entry ideal vector for 2 measured bits$"):
+        Prepared(bell, np.full(8, 1 / 8))
+    assert Prepared(bell, prepare(bell).ideal.copy()).ideal.size == 4
 
 
 def test_entry_points_accept_circuit_or_prepared():
