@@ -4,33 +4,30 @@
 derived CSV summary. `report` re-reads a JSONL results file and emits
 figure-ready CSV groupings. `parse` dumps the shape of a QASM file and
 its ideal top-5 distribution.
+
+Only `report` is imported at start-up: `parse` and `run` import the
+simulator (and numpy) when they run, so `qtrust report` never loads them.
 """
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from pathlib import Path
 
-from .circuit import CircuitError
-from .harness import (
-    ConfigError,
-    IoError,
-    field_mean,
-    group_by,
-    load_config,
-    read_jsonl,
-    run_experiment,
-    summarize,
-    write_csv,
-    write_jsonl,
-)
-from .metrics import ranked
-from .qasm import QasmError, parse_qasm
-from .simulator import run_statevector
+from . import report
+
+
+def _write_error(exc: OSError, path: Path) -> int:
+    print(f"error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_parse(args) -> int:
+    from .circuit import CircuitError
+    from .metrics import ranked
+    from .qasm import QasmError, parse_qasm
+    from .simulator import run_statevector
+
     path = Path(args.path)
     try:
         source = path.read_text()
@@ -55,9 +52,11 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness import ConfigError, load_config, run_experiment
+
     try:
         config = load_config(args.config)
-    except (ConfigError, IoError) as exc:
+    except (ConfigError, report.IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
@@ -66,146 +65,30 @@ def _cmd_run(args) -> int:
         config = replace(config, master_seed=args.seed)
     records, errors = run_experiment(config, jobs=args.jobs)
     out = Path(args.out or config.out or "results.jsonl")
-    write_jsonl(records, out)
-    write_csv(summarize(records), out.with_suffix(".summary.csv"))
+    summary = out.with_suffix(".summary.csv")
+    try:
+        report.write_jsonl(records, out)
+        report.write_csv(report.summarize(records), summary)
+    except OSError as exc:
+        return _write_error(exc, out)
     print(f"wrote {len(records)} records to {out}")
-    print(f"wrote summary to {out.with_suffix('.summary.csv')}")
+    print(f"wrote summary to {summary}")
     for message in errors:
         print(f"cell failed: {message}", file=sys.stderr)
     return 1 if errors else 0
 
 
-def _defense(mode, field="defense"):
-    """Record filter: the given defense mode, carrying `field`."""
-    return lambda r: r["defense"] == mode and field in r
-
-
-def _means(fields, metrics, where):
-    """Report builder: the mean of each metric per group of `fields`."""
-
-    def build(records):
-        rows = []
-        for key, g in group_by(records, fields, where):
-            row = dict(zip(fields, key))
-            row.update((f"{m}_mean", field_mean(g, m)) for m in metrics)
-            rows.append(row)
-        return rows
-
-    return build
-
-
-_CELL = ("workload", "t", "shots", "seed")
-
-
-def _rows_fig12(records):
-    """Adaptive split: selection rate and mean shot share per backend."""
-    rows = []
-    fields = ("workload", "t", "shots")
-    for key, g in group_by(records, fields, _defense("adaptive")):
-        allocations = [dict(r["allocations"]) for r in g]
-        pm_mean = field_mean(g, "pm")
-        for name in sorted({name for a in allocations for name in a}):
-            shares = [a.get(name, 0) / sum(a.values()) for a in allocations]
-            selected = sum(r.get("selected") == name for r in g)
-            rows.append(
-                {
-                    **dict(zip(fields, key)),
-                    "backend": name,
-                    "mean_shot_share": statistics.fmean(shares),
-                    "selection_rate": selected / len(g),
-                    "pm_mean": pm_mean,
-                }
-            )
-    return rows
-
-
-def _rows_table3(records):
-    """Per-backend probe fingerprints from adaptive runs."""
-    rows = []
-    for key, g in group_by(records, _CELL, _defense("adaptive", "probe")):
-        cell = dict(zip(_CELL, key))
-        for r in g:
-            probe = r["probe"]
-            for bp in sorted(probe["backends"], key=lambda bp: bp["name"]):
-                rows.append(
-                    {
-                        **cell,
-                        "backend": bp["name"],
-                        "repeatable": bp["repeatable"],
-                        "run_tops": " ".join(bp["run_tops"]),
-                        "mean_pm": bp["mean_pm"],
-                        "mean_inter_run_tvd": bp["mean_inter_run_tvd"],
-                        "mean_confidence": bp["mean_confidence"],
-                        "voted_answer": probe["voted_answer"],
-                    }
-                )
-    return rows
-
-
-def _rows_table6(records):
-    """Adaptive QAOA: probe ARs and selection per t."""
-    rows = []
-    for key, g in group_by(records, _CELL, _defense("qaoa_adaptive")):
-        cell = dict(zip(_CELL, key))
-        for r in g:
-            for name, ars in sorted(r["probe_ars"].items()):
-                rows.append(
-                    {
-                        **cell,
-                        "backend": name,
-                        "probe_ars": " ".join(f"{a:.4f}" for a in ars),
-                        "selected": r["selected"] == name,
-                        "final_ar": r["ar"] if r["selected"] == name else None,
-                    }
-                )
-    return rows
-
-
-# fig8 and table2 are the same grouping: PM against the shot budget
-_SHOTS = _means(
-    ("workload", "backend", "t", "shots"),
-    ("pm", "tvd_vs_ideal"),
-    _defense("none", "pm"),
-)
-
-_REPORTS = {
-    # PM and TVD vs t per backend (no defense)
-    "fig6": _means(
-        ("workload", "backend", "t"),
-        ("pm", "tvd_vs_ideal", "tvd_vs_clean"),
-        _defense("none", "pm"),
-    ),
-    "fig8": _SHOTS,
-    # equal-split PM/TVD vs t
-    "fig11": _means(
-        ("workload", "t", "shots"), ("pm", "tvd_vs_ideal"), _defense("equal")
-    ),
-    "fig12": _rows_fig12,
-    "table2": _SHOTS,
-    "table3": _rows_table3,
-    # iteration-split AR vs t
-    "table5": _means(
-        ("workload", "t"), ("ar", "phase_a_ar", "phase_b_ar"), _defense("qaoa_split")
-    ),
-    "table6": _rows_table6,
-}
-
-
 def _cmd_report(args) -> int:
     try:
-        records = read_jsonl(args.results)
-    except IoError as exc:
+        records = report.read_jsonl(args.results)
+    except report.IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out or "report")
-    written = []
-    for key, builder in _REPORTS.items():
-        rows = builder(records)
-        if not rows:
-            continue
-        path = out_dir / f"{key}.csv"
-        write_csv(rows, path)
-        written.append(path)
+    try:
+        written = report.write_reports(records, out_dir)
+    except OSError as exc:
+        return _write_error(exc, out_dir)
     if not written:
         print("no matching records for any report grouping", file=sys.stderr)
         return 1

@@ -18,10 +18,10 @@ from itertools import combinations
 
 from .backend import BackendModel
 from .circuit import Circuit
-from .metrics import pm, stitch, top_outcome, tvd
+from .metrics import Counts, pm, stitch, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, QaoaRunRecord, optimize
 from .rng import derive_seed
-from .simulator import Counts, Prepared, execute, prepare, resolve_tamper
+from .simulator import Prepared, execute, prepare, resolve_tamper
 
 
 class DefenseError(ValueError):

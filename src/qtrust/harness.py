@@ -4,8 +4,8 @@ A JSON config describes one experiment: a workload (builtin circuit, QASM
 file or QAOA instance), a set of backend models, sweeps over the tampering
 coefficient and the shot budget, a defense mode and a list of seeds. Every
 (t, shots, seed) cell runs independently on a bounded worker pool and
-produces one JSONL record; a CSV summary with per-group mean/std over
-seeds is derived from the records, never the other way around.
+produces one record. This module loads and checks configs and runs them;
+writing, reading and summarising the records is `qtrust.report`'s job.
 
 Determinism: the cell seed is a hash of (master seed, workload, t, shots,
 seed index), and every stochastic stage below derives its own sub-stream,
@@ -14,12 +14,9 @@ so records are byte-identical across re-runs and worker counts
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
-import operator
-import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -39,6 +36,8 @@ from .defense import (
 from .metrics import Counts, pm, ranked, top_outcome, tvd
 from .qaoa import Graph, GraphError, QaoaConfig, optimize, random_regular_graph
 from .qasm import QasmError, parse_qasm
+# summarize, write_csv and write_jsonl: bench/worker.py calls them as harness.*
+from .report import IoError, record_key, summarize, write_csv, write_jsonl
 from .rng import derive_seed
 from .simulator import Prepared, clean_distribution, execute, prepare
 
@@ -51,10 +50,6 @@ DEFAULT_DRIFT = 0.01
 
 class ConfigError(ValueError):
     """Config rejected; the message carries a JSON pointer to the field."""
-
-
-class IoError(OSError):
-    pass
 
 
 _TAMPER_SCHEMA = {
@@ -658,42 +653,6 @@ def _cell_seed(config: ExperimentConfig, t, shots, seed) -> int:
     )
 
 
-def _order_key(values) -> list:
-    """Sort key over field values: None first, then natural order."""
-    return [(v is not None, v) for v in values]
-
-
-_RECORD_ORDER = ("workload", "defense", "t", "shots", "seed", "backend")
-
-
-def _sort_key(record: dict) -> list:
-    return _order_key(record[f] for f in _RECORD_ORDER)
-
-
-def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
-    """(key, records) pairs over the records `where` accepts, grouped by
-    the values of `fields` and sorted by key (None first, numbers as
-    numbers)."""
-    get = operator.itemgetter(*fields)
-    key = get if len(fields) > 1 else lambda record: (get(record),)
-    groups: dict[tuple, list[dict]] = {}
-    for record in records:
-        if where is None or where(record):
-            groups.setdefault(key(record), []).append(record)
-    return sorted(groups.items(), key=lambda kv: _order_key(kv[0]))
-
-
-def _numeric(records, field) -> list:
-    # skips missing fields and PM's "inf" sentinel
-    return [r[field] for r in records if isinstance(r.get(field), (int, float))]
-
-
-def field_mean(records, field) -> float | None:
-    """Mean of the numeric values of `field`; None if there are none."""
-    values = _numeric(records, field)
-    return statistics.fmean(values) if values else None
-
-
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1
 ) -> tuple[list[dict], list[str]]:
@@ -728,89 +687,5 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, cells))
     records = [record for result, _ in outcomes for record in result]
-    records.sort(key=_sort_key)
+    records.sort(key=record_key)
     return records, [error for _, error in outcomes if error is not None]
-
-
-def write_jsonl(records: list[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-# the fields a `qtrust report` builder reads from every record of a mode
-_REPORT_FIELDS = {
-    "adaptive": ("allocations",),
-    "qaoa_adaptive": ("probe_ars", "selected", "ar"),
-}
-
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    """The records of a results file; an ``IoError`` names the path, and
-    the line of a record that is not JSON, not an object, lacks a sort key
-    or lacks a field its defense mode's report reads."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"no such results file: {path}")
-    try:
-        with path.open() as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read results file {path}: {exc}")
-    records = []
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{number}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IoError(f"{where}: invalid JSON: {exc}")
-        if not isinstance(record, dict):
-            raise IoError(f"{where}: record is not a JSON object")
-        missing = [f for f in _RECORD_ORDER if f not in record]
-        if missing:
-            raise IoError(f"{where}: record lacks {', '.join(missing)}")
-        mode = record["defense"]
-        needs = _REPORT_FIELDS.get(mode, ()) if isinstance(mode, str) else ()
-        missing = [f for f in needs if f not in record]
-        if missing:
-            raise IoError(f"{where}: {mode} record lacks {', '.join(missing)}")
-        records.append(record)
-    return records
-
-
-_SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")
-_SUMMARY_GROUP = ("workload", "defense", "backend", "t", "shots")
-
-
-def summarize(records: list[dict]) -> list[dict]:
-    """Mean/std over seeds per (workload, defense, backend, t, shots)."""
-    rows = []
-    for key, group in group_by(records, _SUMMARY_GROUP):
-        row = dict(zip(_SUMMARY_GROUP, key), n_seeds=len(group))
-        for metric in _SUMMARY_METRICS:
-            values = _numeric(group, metric)
-            if not values:
-                continue
-            row[f"{metric}_mean"] = statistics.fmean(values)
-            # pstdev works in exact fractions; skip it for a single value
-            row[f"{metric}_std"] = statistics.pstdev(values) if len(values) > 1 else 0.0
-        rows.append(row)
-    return rows
-
-
-def write_csv(rows: list[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)

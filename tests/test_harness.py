@@ -13,14 +13,8 @@ from hypothesis import strategies as st
 
 from qtrust import harness, simulator
 from qtrust.cli import main
-from qtrust.harness import (
-    ConfigError,
-    load_config,
-    read_jsonl,
-    run_experiment,
-    summarize,
-    write_jsonl,
-)
+from qtrust.harness import ConfigError, load_config, run_experiment
+from qtrust.report import read_jsonl, summarize, write_jsonl
 
 from oracles import jsonschema_error_paths
 
@@ -472,7 +466,7 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_qtrust_runs_without_jsonschema():
-    plain = "import sys, qtrust; print('jsonschema' in sys.modules)"
+    plain = "import sys, qtrust.harness, qtrust.cli; print('jsonschema' in sys.modules)"
     assert _python(plain) == "False"
     blocked = """
 import json, sys
@@ -780,6 +774,16 @@ BAD_RESULTS = {
         json.dumps({**_RECORD, "defense": "qaoa_adaptive", "selected": "hw_a", "ar": 0.9}),
         "qaoa_adaptive record lacks probe_ars",
     ),
+    # sort keys of another type: each used to end in a TypeError while sorting
+    "string_t": (
+        json.dumps({**_RECORD, "t": "0.1"}),
+        "t must be a number or null, not '0.1'",
+    ),
+    "float_shots": (json.dumps({**_RECORD, "shots": 100.0}), "shots must be an integer"),
+    "bool_seed": (json.dumps({**_RECORD, "seed": True}), "seed must be an integer"),
+    "numeric_backend": (json.dumps({**_RECORD, "backend": 1}), "backend must be a string"),
+    "null_workload": (json.dumps({**_RECORD, "workload": None}), "workload must be a string"),
+    "bool_t": (json.dumps({**_RECORD, "t": False}), "t must be a number or null"),
 }
 
 
@@ -797,6 +801,23 @@ def test_cli_report_unreadable_path(tmp_path, capsys):
     assert main(["report", str(tmp_path), "--out", str(tmp_path / "report")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read results file") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cli_out_under_a_file_is_an_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "run":
+        source = tmp_path / "config.json"
+        source.write_text(json.dumps(base_config(seeds=[0])))
+        argv = ["run", "--config", str(source), "--out", str(blocker / "x.jsonl")]
+    else:
+        source = tmp_path / "results.jsonl"
+        source.write_text(json.dumps(_RECORD) + "\n")
+        argv = ["report", str(source), "--out", str(blocker / "report")]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {blocker}")
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

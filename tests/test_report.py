@@ -6,12 +6,18 @@ by hand from the JSONL records.
 """
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qtrust.cli import main
-from qtrust.harness import field_mean, group_by, read_jsonl
+from qtrust.report import field_mean, group_by, read_jsonl, write_jsonl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 T_SWEEP = [0.1, 0.5]
 SHOTS_SWEEP = [200, 1000, 10000]  # str order would be 1000, 10000, 200
@@ -329,3 +335,37 @@ def test_field_mean_skips_the_inf_sentinel_and_missing_fields():
     records = [{"pm": "inf"}, {"pm": 2.0}, {}, {"pm": 4}]
     assert field_mean(records, "pm") == 3.0
     assert field_mean(records[:1], "pm") is None
+
+
+# imports the CLI, then blocks numpy: any later import of it fails
+REPORT_WITHOUT_NUMPY = """
+import sys
+import qtrust.cli
+loaded = "numpy" in sys.modules
+sys.modules["numpy"] = None
+code = qtrust.cli.main(sys.argv[1:])
+print(loaded, code)
+"""
+
+
+def test_report_runs_without_numpy(runs, tmp_path):
+    results = tmp_path / "results.jsonl"
+    write_jsonl([r for run in runs.values() for r in run.records], results)
+    assert main(["report", str(results), "--out", str(tmp_path / "ours")]) == 0
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_WITHOUT_NUMPY, "report", str(results),
+         "--out", str(tmp_path / "blocked")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
+    ours, blocked = tmp_path / "ours", tmp_path / "blocked"
+    names = sorted(p.name for p in ours.iterdir())
+    assert names == sorted(f"{name}.csv" for name in HEADERS)
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (ours / name).read_bytes()
