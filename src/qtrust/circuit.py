@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 MAX_QUBITS = 24
 
@@ -125,15 +126,15 @@ class Circuit:
                 seen_q.add(q)
                 seen_c.add(instr.clbit)
 
-    @property
-    def measured_pairs(self) -> list[tuple[int, int]]:
+    @cached_property
+    def measured_pairs(self) -> tuple[tuple[int, int], ...]:
         """(qubit, clbit) pairs sorted by clbit descending (output bit order)."""
         pairs = [
             (i.qubits[0], i.clbit)
             for i in self.instructions
             if i.kind is GateKind.MEASURE
         ]
-        return sorted(pairs, key=lambda p: -p[1])
+        return tuple(sorted(pairs, key=lambda p: -p[1]))
 
     @property
     def num_measured(self) -> int:

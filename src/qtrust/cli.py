@@ -24,9 +24,9 @@ def _write_error(exc: OSError, path: Path) -> int:
 
 def _cmd_parse(args) -> int:
     from .circuit import CircuitError
-    from .metrics import ranked
+    from .metrics import Counts, ranked
     from .qasm import QasmError, parse_qasm
-    from .simulator import run_statevector
+    from .simulator import prepare
 
     path = Path(args.path)
     try:
@@ -36,7 +36,7 @@ def _cmd_parse(args) -> int:
         return 1
     try:
         circuit = parse_qasm(source, name=path.stem)
-        dist = run_statevector(circuit)
+        dist = Counts(prepare(circuit).ideal)
     except (QasmError, CircuitError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1

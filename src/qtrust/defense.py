@@ -8,7 +8,9 @@ remaining budget. PM ranks before TVD because the TVD of two short probes
 is mostly sampling noise, while a tampered backend's PM against the
 voted answer collapses towards 1.
 The user never needs ground truth: the probe's reference answer comes
-from majority voting over per-cell top outcomes.
+from majority voting over per-cell top outcomes. The sampling defenses
+take a ``simulator.Prepared``, so every backend and run reads the one
+vector ``simulator.prepare`` evolved.
 """
 from __future__ import annotations
 
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .backend import BackendModel
-from .circuit import Circuit
 from .metrics import Counts, pm, stitch, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, QaoaRunRecord, optimize
 from .rng import derive_seed
-from .simulator import Prepared, execute, prepare, resolve_tamper
+from .simulator import Prepared, execute, resolve_tamper
 
 
 class DefenseError(ValueError):
@@ -77,7 +78,7 @@ def _check_backends(backends: list[BackendModel]) -> None:
 
 
 def equal_split(
-    backends: list[BackendModel], circuit: Circuit | Prepared, shots: int, seed: int
+    backends: list[BackendModel], prepared: Prepared, shots: int, seed: int
 ) -> tuple[Counts, SplitPlan]:
     """Divide the budget evenly; remainder goes to the first backends."""
     _check_backends(backends)
@@ -86,7 +87,6 @@ def equal_split(
         raise DefenseError("equal split needs at least two backends")
     if shots < m:
         raise InsufficientShots(f"{shots} shots across {m} backends")
-    prepared = prepare(circuit)
     base, extra = divmod(shots, m)
     allocations = []
     parts = []
@@ -100,7 +100,7 @@ def equal_split(
 
 def probe(
     backends: list[BackendModel],
-    circuit: Circuit | Prepared,
+    prepared: Prepared,
     k: int = 50,
     r: int = 2,
     seed: int = 0,
@@ -111,7 +111,6 @@ def probe(
         raise DefenseError("probe shots k must be >= 10")
     if r < 2:
         raise DefenseError("probe runs r must be >= 2")
-    prepared = prepare(circuit)
     raw: dict[str, list[Counts]] = {}
     for backend in backends:
         resolved = resolve_tamper(backend, prepared, seed)
@@ -183,7 +182,7 @@ def select_backend(report: ProbeReport, order: tuple[str, ...] | None = None) ->
 
 def adaptive_split(
     backends: list[BackendModel],
-    circuit: Circuit | Prepared,
+    prepared: Prepared,
     shots: int,
     k: int = 50,
     r: int = 2,
@@ -202,7 +201,6 @@ def adaptive_split(
         raise InsufficientShots(
             f"budget {shots} cannot cover {probe_cost} probe shots"
         )
-    prepared = prepare(circuit)
     # resolved once: probe and the main run reuse the same tamper lines
     resolved = [resolve_tamper(b, prepared, seed) for b in backends]
     report = probe(resolved, prepared, k=k, r=r, seed=seed)

@@ -1,7 +1,9 @@
-"""Unitary matrices for the supported gate set.
+"""Unitary matrices for the gates the simulator multiplies.
 
-Multi-qubit matrices are written in the basis |q_first q_second ...> where
-the first listed qubit is the most significant bit.
+X, CX, SWAP and CCX have none here: the simulator applies them, and X
+errors, by swapping slices of the state. Multi-qubit matrices are written
+in the basis |q_first q_second ...> where the first listed qubit is the
+most significant bit.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 _FIXED_1Q = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
     GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
@@ -24,16 +25,7 @@ _FIXED_1Q = {
     GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
 
-CX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-CCX = np.eye(8, dtype=complex)
-CCX[6, 6] = CCX[7, 7] = 0
-CCX[6, 7] = CCX[7, 6] = 1
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -48,7 +40,8 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Unitary for any non-measurement, non-barrier gate kind."""
+    """Unitary of a gate that is not a permutation: H, Y, Z, S, SDG, T,
+    TDG, RX, RY, RZ, U1, U2, U3 and CZ."""
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
     if kind is GateKind.RX:
@@ -66,12 +59,6 @@ def matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
         return u3(math.pi / 2, params[0], params[1])
     if kind is GateKind.U3:
         return u3(*params)
-    if kind is GateKind.CX:
-        return CX
     if kind is GateKind.CZ:
         return CZ
-    if kind is GateKind.SWAP:
-        return SWAP
-    if kind is GateKind.CCX:
-        return CCX
-    raise ValueError(f"{kind} has no unitary representation")
+    raise ValueError(f"{kind} has no matrix here")

@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from .adversary import TamperMode, TamperSpec
@@ -361,7 +362,21 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     master_seed: int
     out: str | None
-    experiment_id: str
+    canonical: str  # the loaded JSON with sorted keys and no spaces
+
+    @cached_property
+    def experiment_id(self) -> str:
+        """Hash of the config as it is run: its JSON, with the master seed
+        put in when the run's differs from the file's own."""
+        canonical = self.canonical
+        raw = json.loads(canonical)
+        if self.master_seed != raw.get("master_seed", 0):
+            canonical = _sorted_json({**raw, "master_seed": self.master_seed})
+        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+def _sorted_json(raw: dict) -> str:
+    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
 
 
 def _build_workload(raw: dict, base_dir: Path) -> Workload:
@@ -483,8 +498,6 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
 
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    experiment_id = hashlib.sha256(canonical.encode()).hexdigest()[:12]
     return ExperimentConfig(
         workload=workload,
         backends=backends,
@@ -494,7 +507,7 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         seeds=tuple(raw["seeds"]),
         master_seed=raw.get("master_seed", 0),
         out=raw.get("out"),
-        experiment_id=experiment_id,
+        canonical=_sorted_json(raw),
     )
 
 

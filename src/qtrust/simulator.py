@@ -7,19 +7,19 @@ tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
 view of the vector computed, of probabilities or of shot counts. Keys
 follow the q_{n-1}...q_0 convention; line 0 is the rightmost character.
 
-``prepare`` is the one place that evolves a noise-free statevector; every
-entry point takes its ``Prepared`` result or a plain circuit. The QAOA
-objective builds its ``Prepared`` from ``qaoa.probabilities``, which
-computes the vector of its circuit without evolving gates. ``_evolve``
-owns one state array, plus one gather buffer of the same size, for the
-whole run: a permutation gate (X, CX, SWAP, CCX) swaps two slices of the
-state in place, and any other gate is one ``matmul`` of its
-``gates.matrix`` against the state gathered with the gate's axes first,
-written back into the state array. Gate noise evolves each distinct Pauli
-error pattern of a run once (Monte-Carlo wavefunction trajectories weighted
-by how often each pattern was drawn), and draws all patterns from the raw
-generator words at once, replaying the stream of one ``random()`` per
-(gate, qubit) exactly.
+``prepare`` is the one place that evolves a noise-free statevector and the
+one stage that takes a plain circuit; every other stage takes its
+``Prepared`` result and reads the vector from it. The QAOA objective builds
+its ``Prepared`` from ``qaoa.probabilities``, which computes the vector of
+its circuit without evolving gates. ``_evolve`` owns one state array, plus
+one gather buffer of the same size, for the whole run: a permutation gate
+(X, CX, SWAP, CCX) swaps two slices of the state in place, and any other
+gate is one ``matmul`` of its ``gates.matrix`` against the state gathered
+with the gate's axes first, written back into the state array. Gate noise
+evolves each distinct Pauli error pattern of a run once (Monte-Carlo
+wavefunction trajectories weighted by how often each pattern was drawn),
+and draws all patterns from the raw generator words at once, replaying the
+stream of one ``random()`` per (gate, qubit) exactly.
 """
 from __future__ import annotations
 
@@ -150,17 +150,10 @@ def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
     return np.transpose(probs, front + rest).reshape(2 ** len(front), -1).sum(axis=1)
 
 
-def prepare(circuit: Circuit | Prepared) -> Prepared:
-    """Evolve the noise-free vector of ``circuit`` once; a ``Prepared``
-    comes back unchanged."""
-    if isinstance(circuit, Prepared):
-        return circuit
+def prepare(circuit: Circuit) -> Prepared:
+    """Evolve the noise-free vector of ``circuit`` once; its exact outcome
+    distribution is ``Counts(prepare(circuit).ideal)``."""
     return Prepared(circuit, _evolve(circuit))
-
-
-def run_statevector(circuit: Circuit | Prepared) -> Counts:
-    """Exact outcome distribution over the measured classical bits."""
-    return Counts(prepare(circuit).ideal)
 
 
 _CHUNK = 1 << 16  # raw words per read; bounds the words held, not the draw
@@ -254,20 +247,14 @@ def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
     return [backend.noise.pair_for(q) for q, _ in reversed(ordered)]
 
 
-def _clean_vector(backend: BackendModel, prepared: Prepared) -> np.ndarray:
-    pairs = dict(enumerate(_line_pairs(backend, prepared.circuit)))
-    return flip_channel(prepared.ideal, pairs)
-
-
-def clean_distribution(
-    backend: BackendModel, circuit: Circuit | Prepared
-) -> Counts:
+def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
     """Analytic post-readout distribution without drift or tampering."""
-    return Counts(_clean_vector(backend, prepare(circuit)))
+    pairs = dict(enumerate(_line_pairs(backend, prepared.circuit)))
+    return Counts(flip_channel(prepared.ideal, pairs))
 
 
 def resolve_tamper(
-    backend: BackendModel, circuit: Circuit | Prepared, seed: int
+    backend: BackendModel, prepared: Prepared, seed: int
 ) -> BackendModel:
     """Fill in the tamper target lines once per backend instance.
 
@@ -277,11 +264,10 @@ def resolve_tamper(
     spec = backend.tamper
     if spec is None or not spec.needs_resolution:
         return backend
-    prepared = prepare(circuit)
     width = prepared.circuit.num_measured
     if spec.mode is TamperMode.TARGETED:
         private = sample_counts(
-            Counts(_clean_vector(backend, prepared)),
+            clean_distribution(backend, prepared),
             PLAN_SHOTS,
             derive_seed(seed, backend.name, "tamper-plan"),
         )
@@ -294,11 +280,10 @@ def resolve_tamper(
 
 
 def execute(
-    backend: BackendModel, circuit: Circuit | Prepared, shots: int, seed: int
+    backend: BackendModel, prepared: Prepared, shots: int, seed: int
 ) -> Counts:
     """Full pipeline: statevector -> drift jitter -> readout channel ->
     tamper channel -> multinomial sampling."""
-    prepared = prepare(circuit)
     if backend.noise.gate_depolarizing > 0.0:
         rng = derive_rng(seed, backend.name, "trajectories")
         probs = _trajectory_vector(

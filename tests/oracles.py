@@ -23,7 +23,7 @@ import numpy as np
 from qtrust import qaoa
 from qtrust.metrics import Counts
 from qtrust.rng import derive_seed
-from qtrust.simulator import execute
+from qtrust.simulator import execute, prepare
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -353,14 +353,14 @@ def string_cut_value(bitstring: str, edges) -> int:
 
 
 def circuit_objective(self, x) -> float:
-    """``qaoa._Objective.__call__`` with the plain circuit handed to
-    ``execute``, which evolves it gate by gate for the ideal vector."""
+    """``qaoa._Objective.__call__`` with the built circuit prepared, which
+    evolves it gate by gate for the ideal vector, before ``execute``."""
     if self.evals >= self.budget:
         raise qaoa._BudgetExhausted
     params = qaoa.QaoaParams.from_vector(x)
     counts = execute(
         self.backend,
-        qaoa.build_qaoa_circuit(self.graph, params),
+        prepare(qaoa.build_qaoa_circuit(self.graph, params)),
         self.shots,
         derive_seed(self.seed, "eval", self.evals),
     )

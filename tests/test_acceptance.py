@@ -34,8 +34,8 @@ from qtrust.rng import derive_rng
 from qtrust.simulator import (
     clean_distribution,
     execute,
+    prepare,
     resolve_tamper,
-    run_statevector,
     sample_counts,
 )
 
@@ -66,7 +66,7 @@ def test_criterion_01_oracle_equivalence():
     worst = 0.0
     for name in ("grover_n2", "grover_n3", "fredkin_n3", "toffoli_n3"):
         bench = builtin(name)
-        got = run_statevector(bench.circuit)
+        got = Counts(prepare(bench.circuit).ideal)
         want = oracle_distribution(bench.circuit)
         for key in set(got) | set(want):
             worst = max(worst, abs(got.get(key, 0.0) - want.get(key, 0.0)))
@@ -79,7 +79,7 @@ def test_criterion_02_channel_exactness():
     start = time.perf_counter()
     shots = 1_000_000
     circuit = builtin("toffoli_n3").circuit
-    ideal = run_statevector(circuit)
+    ideal = Counts(prepare(circuit).ideal)
     pairs = [(0.02, 0.02)] * 3
     worst = 0.0
     rng = derive_rng("channel-mc")
@@ -118,7 +118,7 @@ def test_criterion_03_full_mixing_invariant():
     for name in BENCHMARK_NAMES + LARGE_BENCHMARK_NAMES:
         bench = builtin(name)
         width = bench.circuit.num_measured
-        dist = clean_distribution(BackendModel("hw", NOISE), bench.circuit)
+        dist = clean_distribution(BackendModel("hw", NOISE), prepare(bench.circuit))
         for line in range(width):
             spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(line,))
             out = Counts(flip_channel(dist.vector, spec.flips(width)))
@@ -129,7 +129,7 @@ def test_criterion_03_full_mixing_invariant():
     # sampled check on one representative line
     bench = builtin("toffoli_n3")
     spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(0,))
-    clean = clean_distribution(BackendModel("hw", NOISE), bench.circuit)
+    clean = clean_distribution(BackendModel("hw", NOISE), prepare(bench.circuit))
     dist = Counts(flip_channel(clean.vector, spec.flips(3)))
     counts = sample_counts(dist, 100_000, seed=0)
     sampled = sum(c for k, c in counts.items() if k[2] == "1") / 100_000
@@ -140,6 +140,7 @@ def test_criterion_03_full_mixing_invariant():
 
 def _pm_values(name: str, t: float, shots: int, seeds: int = 20) -> list[float]:
     bench = builtin(name)
+    prepared = prepare(bench.circuit)
     values = []
     for seed in range(seeds):
         if t == 0.0:
@@ -148,8 +149,8 @@ def _pm_values(name: str, t: float, shots: int, seeds: int = 20) -> list[float]:
             backend = BackendModel(
                 "hw", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t), drift=DRIFT
             )
-        backend = resolve_tamper(backend, bench.circuit, seed)
-        counts = execute(backend, bench.circuit, shots, seed)
+        backend = resolve_tamper(backend, prepared, seed)
+        counts = execute(backend, prepared, shots, seed)
         values.append(pm(counts, bench.expected_output))
     return values
 
@@ -158,10 +159,11 @@ def _analytic_pm(name: str, t: float, seeds: int = 20) -> float:
     """Largest exact PM of the tampered distribution over the seeds' plans."""
     bench = builtin(name)
     backend = BackendModel("hw", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t))
-    dist = clean_distribution(backend, bench.circuit)
+    prepared = prepare(bench.circuit)
+    dist = clean_distribution(backend, prepared)
     width = bench.circuit.num_measured
     flips = [
-        resolve_tamper(backend, bench.circuit, seed).tamper.flips(width)
+        resolve_tamper(backend, prepared, seed).tamper.flips(width)
         for seed in range(seeds)
     ]
     return max(
@@ -216,7 +218,7 @@ def test_criterion_05_pm_vs_shots():
 
 
 def test_criterion_06_equal_split_analytic():
-    circuit = builtin("toffoli_n3").circuit
+    prepared = prepare(builtin("toffoli_n3").circuit)
     # analytic check without drift so the expected mixture is exact
     failures = []
     worst_tvd = 0.0
@@ -225,15 +227,15 @@ def test_criterion_06_equal_split_analytic():
         tampered_bk = BackendModel(
             "hw_b", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t)
         )
-        counts, _ = equal_split([clean_bk, tampered_bk], circuit, 100_000, seed=0)
-        resolved = resolve_tamper(tampered_bk, circuit, 0)
-        dist_clean = clean_distribution(clean_bk, circuit)
+        counts, _ = equal_split([clean_bk, tampered_bk], prepared, 100_000, seed=0)
+        resolved = resolve_tamper(tampered_bk, prepared, 0)
+        dist_clean = clean_distribution(clean_bk, prepared)
         tampered = flip_channel(dist_clean.vector, resolved.tamper.flips(3))
         mixture = Counts(0.5 * dist_clean.vector + 0.5 * tampered)
         worst_tvd = max(worst_tvd, tvd(counts, mixture))
         pm_split = pm(counts, "111")
         pm_tampered = statistics.fmean(
-            pm(execute(resolved, circuit, 100_000, seed), "111") for seed in range(5)
+            pm(execute(resolved, prepared, 100_000, seed), "111") for seed in range(5)
         )
         if not pm_split > pm_tampered:
             failures.append(f"t={t}: split {pm_split:.2f} <= tampered {pm_tampered:.2f}")
@@ -243,13 +245,13 @@ def test_criterion_06_equal_split_analytic():
 
 
 def _detection_rate(t: float, n_backends: int, seeds: int = 100) -> float:
-    circuit = builtin("toffoli_n3").circuit
+    prepared = prepare(builtin("toffoli_n3").circuit)
     wins = 0
     for seed in range(seeds):
         backends = [_clean("hw_a")]
         for i in range(n_backends - 1):
             backends.append(_tampered(f"hw_{chr(98 + i)}", t=t))
-        report = probe(backends, circuit, k=50, r=2, seed=seed)
+        report = probe(backends, prepared, k=50, r=2, seed=seed)
         wins += select_backend(report) == "hw_a"
     return wins / seeds
 
@@ -277,7 +279,8 @@ def test_criterion_08_qaoa_sanity():
     # grid oracle: exact expectation over the init domain reaches cmax
     best = max(
         exact_expectation(
-            run_statevector(build_qaoa_circuit(graph, QaoaParams((g,), (b,)))), graph
+            Counts(prepare(build_qaoa_circuit(graph, QaoaParams((g,), (b,)))).ideal),
+            graph,
         )
         for g in np.linspace(0.0, math.pi, 41)
         for b in np.linspace(0.0, math.pi / 2, 21)

@@ -6,7 +6,8 @@ from qtrust.benchmarks import (
     UnknownBenchmark,
     builtin,
 )
-from qtrust.simulator import run_statevector
+from qtrust.metrics import Counts
+from qtrust.simulator import prepare
 
 ALL_NAMES = BENCHMARK_NAMES + LARGE_BENCHMARK_NAMES
 
@@ -37,7 +38,7 @@ def test_large_flag_gates_lookup():
 def test_expected_output_dominates(name):
     """The declared answer is the unique mode with probability >= 0.9."""
     bench = builtin(name)
-    dist = run_statevector(bench.circuit)
+    dist = Counts(prepare(bench.circuit).ideal)
     assert dist[bench.expected_output] >= 0.9
     others = [p for k, p in dist.items() if k != bench.expected_output]
     assert all(p < dist[bench.expected_output] for p in others)
@@ -55,12 +56,12 @@ def test_exact_benchmarks_are_deterministic():
         if name == "grover_n3":
             continue
         bench = builtin(name)
-        dist = run_statevector(bench.circuit)
+        dist = Counts(prepare(bench.circuit).ideal)
         assert dist[bench.expected_output] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_grover_n3_amplitude():
-    dist = run_statevector(builtin("grover_n3").circuit)
+    dist = Counts(prepare(builtin("grover_n3").circuit).ideal)
     # two iterations on 3 qubits: sin^2(5 asin(1/sqrt 8)) ~ 0.9453
     assert dist["111"] == pytest.approx(0.9453, abs=5e-4)
 

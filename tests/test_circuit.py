@@ -76,7 +76,7 @@ def test_measured_pairs_ordered_by_clbit_descending():
     b.measure(0, 1)
     b.measure(2, 0)
     c = b.build()
-    assert c.measured_pairs == [(0, 1), (2, 0)]
+    assert c.measured_pairs == ((0, 1), (2, 0))
     assert c.num_measured == 2
 
 
@@ -103,4 +103,4 @@ def test_depth_layering():
 def test_builder_measure_all_grows_clbits():
     c = CircuitBuilder(3).measure_all().build()
     assert c.num_clbits == 3
-    assert c.measured_pairs == [(2, 2), (1, 1), (0, 0)]
+    assert c.measured_pairs == ((2, 2), (1, 1), (0, 0))

@@ -18,9 +18,10 @@ from qtrust.defense import (
 )
 from qtrust.metrics import pm
 from qtrust.qaoa import Graph, QaoaConfig
+from qtrust.simulator import prepare
 
 NOISE = NoiseModel.symmetric(0.02)
-TOFFOLI = builtin("toffoli_n3").circuit
+TOFFOLI = prepare(builtin("toffoli_n3").circuit)
 
 
 def clean(name="hw_a"):

@@ -868,6 +868,26 @@ def test_cli_seed_override(tmp_path):
     assert strip_wall_time(read_jsonl(out_a)) != strip_wall_time(read_jsonl(out_b))
 
 
+@pytest.mark.parametrize("file_seed", [None, 7])
+def test_cli_seed_override_changes_the_experiment_id(tmp_path, file_seed):
+    # the id hashes the config as it is run: a --seed other than the file's
+    # own master_seed (default 0) changes it, an equal one does not
+    extra = {} if file_seed is None else {"master_seed": file_seed}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps(base_config(backends=[{"name": "hw_a"}], seeds=[0], **extra))
+    )
+    own = file_seed or 0
+    ids = {}
+    for seed in (None, own, own + 1, own + 2):
+        out = tmp_path / f"{seed}.jsonl"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+        (ids[seed],) = {record["experiment_id"] for record in read_jsonl(out)}
+    assert ids[None] == ids[own] == load_config(cfg_path).experiment_id
+    assert len({ids[None], ids[own + 1], ids[own + 2]}) == 3
+
+
 def test_cli_parse(capsys):
     code = main(["parse", str(DATA / "bell.qasm")])
     assert code == 0

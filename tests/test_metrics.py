@@ -19,7 +19,7 @@ from qtrust.metrics import (
     top_outcome,
     tvd,
 )
-from qtrust.simulator import execute, run_statevector
+from qtrust.simulator import execute, prepare
 
 
 def test_pm_basic_ratio():
@@ -170,7 +170,7 @@ def test_counts_rejects_a_vector_that_is_not_2_to_the_w_long():
 
 
 def test_probabilities_are_counts_of_python_floats():
-    dist = run_statevector(builtin("toffoli_n3").circuit)
+    dist = Counts(prepare(builtin("toffoli_n3").circuit).ideal)
     assert isinstance(dist, Counts)
     assert all(type(p) is float for p in dict(dist).values())
     json.dumps(dict(dist))
@@ -178,7 +178,9 @@ def test_probabilities_are_counts_of_python_floats():
 
 def test_execute_returns_a_counts_over_every_outcome():
     circuit = builtin("adder_n4").circuit
-    counts = execute(BackendModel("hw", NoiseModel.symmetric(0.02)), circuit, 200, 1)
+    counts = execute(
+        BackendModel("hw", NoiseModel.symmetric(0.02)), prepare(circuit), 200, 1
+    )
     assert isinstance(counts, Counts)
     assert counts.vector.size == 2**circuit.num_measured
     assert sum(counts.values()) == 200

@@ -28,7 +28,7 @@ from qtrust.qaoa import (
     optimize,
     random_regular_graph,
 )
-from qtrust.simulator import run_statevector
+from qtrust.simulator import prepare
 
 from oracles import as_counts, circuit_objective, string_cut_value
 
@@ -184,7 +184,7 @@ def test_circuit_structure():
 def test_zero_angles_give_uniform_distribution():
     g = c4()
     circuit = build_qaoa_circuit(g, QaoaParams((0.0,), (0.0,)))
-    dist = run_statevector(circuit)
+    dist = Counts(prepare(circuit).ideal)
     for p in dist.values():
         assert p == pytest.approx(1 / 16, abs=1e-9)
 
@@ -193,7 +193,7 @@ def test_exact_expectation_uniform_equals_half_edges():
     # uniform sampling cuts each edge with probability 1/2
     g = c4()
     circuit = build_qaoa_circuit(g, QaoaParams((0.0,), (0.0,)))
-    value = exact_expectation(run_statevector(circuit), g)
+    value = exact_expectation(Counts(prepare(circuit).ideal), g)
     assert value == pytest.approx(len(g.edges) / 2)
 
 
@@ -204,7 +204,7 @@ def test_single_edge_p1_analytic_expectation():
         params = QaoaParams((gamma,), (beta,))
         expected = 0.5 * (1.0 - math.sin(2 * gamma) * math.sin(4 * beta))
         for dist in (
-            run_statevector(build_qaoa_circuit(g, params)),
+            Counts(prepare(build_qaoa_circuit(g, params)).ideal),
             Counts(qaoa.probabilities(g, params)),
         ):
             assert exact_expectation(dist, g) == pytest.approx(expected, abs=1e-9)

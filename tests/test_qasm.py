@@ -15,6 +15,7 @@ from qtrust.circuit import (
     GateKind,
     Instruction,
 )
+from qtrust.metrics import Counts
 from qtrust.qasm import (
     QasmError,
     QasmIndexError,
@@ -23,7 +24,7 @@ from qtrust.qasm import (
     circuit_to_qasm,
     parse_qasm,
 )
-from qtrust.simulator import run_statevector
+from qtrust.simulator import prepare
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,7 +33,7 @@ def test_bell_file():
     circuit = parse_qasm((DATA / "bell.qasm").read_text(), name="bell")
     assert circuit.num_qubits == 2
     assert circuit.num_measured == 2
-    dist = run_statevector(circuit)
+    dist = Counts(prepare(circuit).ideal)
     assert dist["00"] == pytest.approx(0.5)
     assert dist["11"] == pytest.approx(0.5)
 
@@ -40,7 +41,7 @@ def test_bell_file():
 def test_qft_file_with_macro():
     """QFT applied to |0101> (x on q0 and q2); checks cu1 macro expansion."""
     circuit = parse_qasm((DATA / "qft4.qasm").read_text())
-    dist = run_statevector(circuit)
+    dist = Counts(prepare(circuit).ideal)
     # QFT of a basis state is a flat superposition
     assert len(dist) == 16
     for p in dist.values():
@@ -49,7 +50,7 @@ def test_qft_file_with_macro():
 
 def test_header_optional():
     circuit = parse_qasm("qreg q[1]; creg c[1]; x q[0]; measure q[0] -> c[0];")
-    assert run_statevector(circuit)["1"] == pytest.approx(1.0)
+    assert Counts(prepare(circuit).ideal)["1"] == pytest.approx(1.0)
 
 
 def test_expression_arithmetic():
@@ -58,7 +59,7 @@ def test_expression_arithmetic():
     rx(2*pi/4 + 0*sin(1.0)) q[0];
     measure q[0] -> c[0];
     """
-    dist = run_statevector(parse_qasm(source))
+    dist = Counts(prepare(parse_qasm(source)).ideal)
     # rx(pi/2) puts the qubit on the equator
     assert dist["0"] == pytest.approx(0.5, abs=1e-9)
 
@@ -81,7 +82,7 @@ def test_broadcast_mixed_register_and_bit():
         "qreg q[2]; qreg r[2]; creg c[2];"
         "x q[0]; cx q[0], r; measure r -> c;"
     )
-    dist = run_statevector(circuit)
+    dist = Counts(prepare(circuit).ideal)
     assert dist["11"] == pytest.approx(1.0)
 
 
@@ -163,7 +164,7 @@ def test_id_inside_gate_body_is_a_no_op():
     source = "gate g a { id a; x a; } qreg q[1]; creg c[1]; g q[0]; measure q -> c;"
     circuit = parse_qasm(source)
     assert circuit.gate_count() == 1
-    assert run_statevector(circuit)["1"] == pytest.approx(1.0)
+    assert Counts(prepare(circuit).ideal)["1"] == pytest.approx(1.0)
 
 
 def test_id_cannot_be_redefined():
@@ -174,7 +175,7 @@ def test_id_cannot_be_redefined():
 
 def test_u_and_cx_builtin_spellings():
     source = "qreg q[2]; creg c[2]; U(pi,0,pi) q[0]; CX q[0], q[1]; measure q -> c;"
-    dist = run_statevector(parse_qasm(source))
+    dist = Counts(prepare(parse_qasm(source)).ideal)
     assert dist["11"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -194,7 +195,7 @@ def test_round_trip_preserves_semantics():
     for path in ("bell.qasm", "qft4.qasm"):
         circuit = parse_qasm((DATA / path).read_text())
         again = parse_qasm(circuit_to_qasm(circuit))
-        a, b = run_statevector(circuit), run_statevector(again)
+        a, b = Counts(prepare(circuit).ideal), Counts(prepare(again).ideal)
         for key in set(a) | set(b):
             assert a.get(key, 0.0) == pytest.approx(b.get(key, 0.0), abs=1e-12)
 

@@ -20,7 +20,7 @@ from qtrust.simulator import (
     clean_distribution,
     execute,
     prepare,
-    run_statevector,
+    resolve_tamper,
     sample_counts,
 )
 
@@ -45,7 +45,7 @@ def _bell():
 
 
 def test_bell_state():
-    dist = run_statevector(_bell())
+    dist = Counts(prepare(_bell()).ideal)
     assert dist["00"] == pytest.approx(0.5)
     assert dist["11"] == pytest.approx(0.5)
     assert dist.get("01", 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -58,7 +58,7 @@ def test_ghz_matches_oracle():
     b.gate(GateKind.CX, 1, 2)
     b.measure_all()
     circuit = b.build()
-    got = run_statevector(circuit)
+    got = Counts(prepare(circuit).ideal)
     want = oracle_distribution(circuit)
     for key in set(got) | set(want):
         assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-12)
@@ -70,7 +70,7 @@ def test_partial_measurement_marginalizes():
     b.gate(GateKind.H, 0)
     b.gate(GateKind.CX, 0, 1)
     b.measure(0, 0)
-    dist = run_statevector(b.build())
+    dist = Counts(prepare(b.build()).ideal)
     assert set(dist) == {"0", "1"}
     assert dist["0"] == pytest.approx(0.5)
 
@@ -81,7 +81,7 @@ def test_clbit_order_defines_string_order():
     b.gate(GateKind.X, 0)
     b.measure(0, 1)
     b.measure(1, 0)
-    dist = run_statevector(b.build())
+    dist = Counts(prepare(b.build()).ideal)
     assert dist["10"] == pytest.approx(1.0)
 
 
@@ -118,7 +118,7 @@ def random_circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_circuits())
 def test_random_circuits_match_full_unitary_oracle(circuit):
-    got = run_statevector(circuit)
+    got = Counts(prepare(circuit).ideal)
     want = oracle_distribution(circuit)
     for key in set(got) | set(want):
         assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-9)
@@ -127,7 +127,7 @@ def test_random_circuits_match_full_unitary_oracle(circuit):
 @settings(max_examples=40, deadline=None)
 @given(random_circuits())
 def test_distribution_normalized(circuit):
-    dist = run_statevector(circuit)
+    dist = Counts(prepare(circuit).ideal)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     assert all(p >= -1e-12 for p in dist.values())
 
@@ -236,36 +236,35 @@ def test_sample_counts_seed_sensitivity():
 
 def test_execute_shot_conservation():
     backend = BackendModel("hw", NoiseModel.symmetric(0.02), drift=0.01)
-    counts = execute(backend, _bell(), 500, seed=3)
+    counts = execute(backend, prepare(_bell()), 500, seed=3)
     assert sum(counts.values()) == 500
 
 
 def test_execute_reproducible():
     backend = BackendModel("hw", NoiseModel.symmetric(0.02), drift=0.01)
-    assert execute(backend, _bell(), 200, seed=5) == execute(
-        backend, _bell(), 200, seed=5
-    )
+    bell = prepare(_bell())
+    assert execute(backend, bell, 200, seed=5) == execute(backend, bell, 200, seed=5)
 
 
 def test_execute_backend_name_decorrelates_streams():
-    noise = NoiseModel.symmetric(0.02)
-    a = execute(BackendModel("hw_a", noise), _bell(), 400, seed=5)
-    b = execute(BackendModel("hw_b", noise), _bell(), 400, seed=5)
+    noise, bell = NoiseModel.symmetric(0.02), prepare(_bell())
+    a = execute(BackendModel("hw_a", noise), bell, 400, seed=5)
+    b = execute(BackendModel("hw_b", noise), bell, 400, seed=5)
     assert a != b
 
 
 def test_clean_distribution_ignores_drift():
-    circuit = _bell()
+    bell = prepare(_bell())
     base = BackendModel("hw", NoiseModel.symmetric(0.05))
     drifty = BackendModel("hw", NoiseModel.symmetric(0.05), drift=0.05)
-    assert clean_distribution(base, circuit) == clean_distribution(drifty, circuit)
+    assert clean_distribution(base, bell) == clean_distribution(drifty, bell)
 
 
 def test_drift_jitter_changes_results_between_seeds():
     backend = BackendModel("hw", NoiseModel.symmetric(0.1), drift=0.1)
-    circuit = _bell()
+    bell = prepare(_bell())
     outcomes = {
-        tuple(sorted(execute(backend, circuit, 2000, seed=s).items()))
+        tuple(sorted(execute(backend, bell, 2000, seed=s).items()))
         for s in range(4)
     }
     assert len(outcomes) > 1
@@ -276,11 +275,11 @@ def test_gate_depolarizing_degrades_output():
     b.gate(GateKind.X, 0)
     b.gate(GateKind.CX, 0, 1)
     b.measure_all()
-    circuit = b.build()
+    prepared = prepare(b.build())
     clean = BackendModel("hw", NoiseModel())
     noisy = BackendModel("hw", NoiseModel(gate_depolarizing=0.2))
-    c_clean = execute(clean, circuit, 4000, seed=0)
-    c_noisy = execute(noisy, circuit, 4000, seed=0)
+    c_clean = execute(clean, prepared, 4000, seed=0)
+    c_noisy = execute(noisy, prepared, 4000, seed=0)
     assert c_clean.get("11", 0) > c_noisy.get("11", 0)
 
 
@@ -289,7 +288,7 @@ def test_per_qubit_readout_pairs():
     backend = BackendModel("hw", noise)
     b = CircuitBuilder(2)
     b.measure_all()
-    dist = clean_distribution(backend, b.build())
+    dist = clean_distribution(backend, prepare(b.build()))
     # qubit 1 (left char) is fully mixed, qubit 0 untouched
     assert dist["00"] == pytest.approx(0.5)
     assert dist["10"] == pytest.approx(0.5)
@@ -322,12 +321,19 @@ def _noisy_circuit():
     return b.build()
 
 
-def test_prepare_evolves_once_and_passes_prepared_through(monkeypatch):
+def test_prepare_evolves_once_and_stages_evolve_nothing(monkeypatch):
+    backend = BackendModel(
+        "hw",
+        NoiseModel.symmetric(0.05),
+        drift=0.01,
+        tamper=TamperSpec(TamperMode.TARGETED, 0.3),
+    )
     calls = _count_evolves(monkeypatch)
     prepared = prepare(_bell())
-    assert prepare(prepared) is prepared
-    assert run_statevector(prepared) == run_statevector(_bell())
-    assert calls == [2]  # the two prepare(Circuit) calls, none for the Prepared
+    resolved = resolve_tamper(backend, prepared, seed=2)
+    execute(resolved, prepared, 500, seed=2)
+    clean_distribution(backend, prepared)
+    assert calls == [1]  # the stages read prepared.ideal
 
 
 def test_prepared_ideal_is_read_only():
@@ -344,19 +350,6 @@ def test_prepared_rejects_an_ideal_of_another_width():
     with pytest.raises(CircuitError, match="^8-entry ideal vector for 2 measured bits$"):
         Prepared(bell, np.full(8, 1 / 8))
     assert Prepared(bell, prepare(bell).ideal.copy()).ideal.size == 4
-
-
-def test_entry_points_accept_circuit_or_prepared():
-    backend = BackendModel(
-        "hw",
-        NoiseModel.symmetric(0.05),
-        drift=0.01,
-        tamper=TamperSpec(TamperMode.TARGETED, 0.3),
-    )
-    circuit = builtin("adder_n4").circuit
-    prepared = prepare(circuit)
-    assert execute(backend, circuit, 500, seed=2) == execute(backend, prepared, 500, seed=2)
-    assert clean_distribution(backend, circuit) == clean_distribution(backend, prepared)
 
 
 def test_trajectory_mixture_replays_the_per_shot_stream():
@@ -404,7 +397,7 @@ def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
     backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.002))
     calls = _count_evolves(monkeypatch)
     start = time.perf_counter()
-    counts = execute(backend, bench.circuit, 10_000, seed=1)
+    counts = execute(backend, prepare(bench.circuit), 10_000, seed=1)
     elapsed = time.perf_counter() - start
     assert sum(counts.values()) == 10_000
     assert top_outcome(counts)[0] == bench.expected_output
@@ -468,7 +461,7 @@ def test_permutation_gates_read_no_matrix(monkeypatch):
     b.gate(GateKind.SWAP, 2, 1)
     b.gate(GateKind.CCX, 1, 0, 2)
     b.measure_all()
-    assert run_statevector(b.build()).vector.tolist() == [0.0] * 7 + [1.0]  # "111"
+    assert prepare(b.build()).ideal.tolist() == [0.0] * 7 + [1.0]  # "111"
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9])
