@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .backend import BackendModel
-from .metrics import Counts, pm, stitch, top_outcome, tvd
+from .metrics import Counts, _ordered_sum, pm, stitch, top_outcome, tvd
 from .qaoa import Graph, QaoaConfig, QaoaRunRecord, optimize
 from .rng import derive_seed
 from .simulator import Prepared, execute, resolve_tamper
@@ -132,17 +132,15 @@ def probe(
             ProbeRun(counts, top, conf, pm(counts, voted))
             for counts, (top, conf) in zip(raw[backend.name], tops[backend.name])
         ]
-        pair_tvds = [
-            tvd(a.counts, b.counts) for a, b in combinations(runs, 2)
-        ]
+        pair_tvds = [tvd(a.counts, b.counts) for a, b in combinations(runs, 2)]
         probes.append(
             BackendProbe(
                 name=backend.name,
                 runs=tuple(runs),
                 repeatable=len({run.top for run in runs}) == 1,
-                mean_inter_run_tvd=sum(pair_tvds) / len(pair_tvds),
-                mean_pm=sum(run.pm for run in runs) / r,
-                mean_confidence=sum(run.confidence for run in runs) / r,
+                mean_inter_run_tvd=_ordered_sum(pair_tvds) / len(pair_tvds),
+                mean_pm=_ordered_sum([run.pm for run in runs]) / r,
+                mean_confidence=_ordered_sum([run.confidence for run in runs]) / r,
             )
         )
     return ProbeReport(tuple(probes), voted, k, r)
@@ -237,6 +235,23 @@ class QaoaAdaptiveRecord:
     ar: float
 
 
+def last_phase_iterations(
+    mode: str, iterations: int, backends=2, probe_runs=2, probe_iterations=5
+) -> int:
+    """Iterations left for the last phase of ``mode``: half of an even budget
+    for ``qaoa_split``, and what the probes leave for ``qaoa_adaptive``."""
+    if mode == "qaoa_split":
+        if iterations % 2:
+            raise DefenseError("iteration split needs an even iteration budget")
+        return iterations // 2
+    probe_cost = backends * probe_runs * probe_iterations
+    if iterations <= probe_cost:
+        raise InsufficientShots(
+            f"iteration budget {iterations} cannot cover {probe_cost} probe iterations"
+        )
+    return iterations - probe_cost
+
+
 def qaoa_iteration_split(
     backend_a: BackendModel,
     backend_b: BackendModel,
@@ -246,12 +261,8 @@ def qaoa_iteration_split(
 ) -> QaoaSplitRecord:
     """Optimize half the iterations on A, hand the incumbent parameters to
     B for the other half. AR is the best expectation seen in either phase."""
-    if config.iterations % 2 != 0:
-        raise DefenseError("iteration split needs an even iteration budget")
-    half = config.iterations // 2
-    rec_a = optimize(
-        backend_a, graph, config.p, half, config.shots_per_iter, seed
-    )
+    half = last_phase_iterations("qaoa_split", config.iterations)
+    rec_a = optimize(backend_a, graph, config.p, half, config.shots_per_iter, seed)
     rec_b = optimize(
         backend_b,
         graph,
@@ -276,13 +287,9 @@ def qaoa_adaptive(
     """Short probe optimizations on every backend; the one with the higher
     mean probe AR gets the remaining iteration budget."""
     _check_backends(backends)
-    m = len(backends)
-    probe_cost = m * probe_runs * probe_iterations
-    if config.iterations <= probe_cost:
-        raise InsufficientShots(
-            f"iteration budget {config.iterations} cannot cover "
-            f"{probe_cost} probe iterations"
-        )
+    remaining = last_phase_iterations(
+        "qaoa_adaptive", config.iterations, len(backends), probe_runs, probe_iterations
+    )
     probe_ars: dict[str, tuple[float, ...]] = {}
     best_probe: dict[str, QaoaRunRecord] = {}
     for backend in backends:
@@ -301,9 +308,8 @@ def qaoa_adaptive(
         best_probe[backend.name] = max(records, key=lambda rec: rec.ar)
     selected = min(
         backends,
-        key=lambda b: (-sum(probe_ars[b.name]) / probe_runs, b.name),
+        key=lambda b: (-_ordered_sum(probe_ars[b.name]) / probe_runs, b.name),
     )
-    remaining = config.iterations - probe_cost
     final = optimize(
         selected,
         graph,

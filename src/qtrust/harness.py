@@ -29,8 +29,10 @@ from .benchmarks import builtin
 from .circuit import CapacityExceeded, CircuitError
 from .defense import (
     SELECTION_ORDER,
+    DefenseError,
     adaptive_split,
     equal_split,
+    last_phase_iterations,
     qaoa_adaptive,
     qaoa_iteration_split,
 )
@@ -486,15 +488,20 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
     if "order" in defense_raw:
         defense_raw["order"] = tuple(defense_raw["order"])
     defense = DefenseSpec(**defense_raw)
-    if defense.mode in ("equal", "adaptive", "qaoa_split", "qaoa_adaptive"):
-        if len(backends) < 2:
-            raise ConfigError(f"/defense/mode: {defense.mode} needs >= 2 backends")
+    if defense.mode != "none" and len(backends) < 2:
+        raise ConfigError(f"/defense/mode: {defense.mode} needs >= 2 backends")
     if defense.mode == "qaoa_split" and len(backends) != 2:
         raise ConfigError("/defense/mode: qaoa_split needs exactly 2 backends")
     if workload.kind == "qaoa" and defense.mode in ("equal", "adaptive"):
         raise ConfigError(f"/defense/mode: {defense.mode} needs a sampling workload")
     if workload.kind == "sample" and defense.mode.startswith("qaoa"):
         raise ConfigError(f"/defense/mode: {defense.mode} needs a qaoa workload")
+    if defense.mode.startswith("qaoa"):
+        probes = (len(backends), defense.probe_runs, defense.probe_iterations)
+        try:
+            last_phase_iterations(defense.mode, workload.qaoa.iterations, *probes)
+        except DefenseError as exc:
+            raise ConfigError(f"/workload/qaoa/iterations: {exc}")
 
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))

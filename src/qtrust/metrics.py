@@ -51,6 +51,22 @@ def _width(vec: np.ndarray) -> int:
     return vec.size.bit_length() - 1
 
 
+_LOOP_BELOW = 32  # shorter sums run faster as a Python loop
+
+
+def _ordered_sum(values):
+    """``values`` (an array or a sequence) added strictly left to right, as
+    ``acc = acc + x`` does, so records keep their bits on every Python:
+    numpy's ``.sum()`` adds pairwise, and since 3.12 Python's ``sum``
+    compensates float rounding (CPython gh-100425)."""
+    if len(values) >= _LOOP_BELOW:
+        return np.add.accumulate(values).item(-1)  # sequential too
+    acc = 0
+    for x in values.tolist() if isinstance(values, np.ndarray) else values:
+        acc = acc + x
+    return acc
+
+
 def ranked(hist: Counts, k: int | None = None) -> list[tuple]:
     """The first ``k`` (default all) nonzero items by descending value,
     ties broken toward the smallest key."""
@@ -85,11 +101,10 @@ def tvd(a: Counts, b: Counts) -> float:
     va, vb = a.vector, b.vector
     if va.size != vb.size:
         raise KeyLengthMismatch(f"mixed key lengths ({_width(va)} and {_width(vb)})")
-    # Python's sum, in key order, is bit-reproducible; numpy's .sum() is not
-    ta, tb = float(sum(va.tolist())), float(sum(vb.tolist()))
+    ta, tb = float(_ordered_sum(va)), float(_ordered_sum(vb))
     if ta <= 0 or tb <= 0:
         raise KeyLengthMismatch("histogram has no mass")
-    return 0.5 * sum(np.abs(va / ta - vb / tb).tolist())
+    return 0.5 * _ordered_sum(np.abs(va / ta - vb / tb))
 
 
 def stitch(parts: list[Counts]) -> Counts:
@@ -105,4 +120,4 @@ def top_outcome(counts: Counts) -> tuple[str, float]:
     """Modal outcome and its empirical probability (lexicographic tie-break)."""
     vec = counts.vector
     i = int(np.argmax(vec))  # the first maximum is the smallest key
-    return format(i, f"0{_width(vec)}b"), vec[i].item() / sum(vec.tolist())
+    return format(i, f"0{_width(vec)}b"), vec[i].item() / _ordered_sum(vec)

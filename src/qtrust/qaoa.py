@@ -18,7 +18,7 @@ import numpy as np
 
 from .backend import BackendModel
 from .circuit import Circuit, CircuitBuilder, GateKind, CapacityExceeded
-from .metrics import Counts
+from .metrics import Counts, _ordered_sum
 from .rng import derive_rng, derive_seed
 from .simulator import Prepared, execute
 
@@ -196,7 +196,7 @@ def exact_expectation(dist: Counts, graph: Graph) -> float:
     if vec.size != graph.cuts.size:
         raise LengthMismatch(f"{vec.size}-entry histogram for {graph.n} nodes")
     index = np.flatnonzero(vec)
-    return sum((vec[index] * graph.cuts[index]).tolist())  # in key order
+    return _ordered_sum(vec[index] * graph.cuts[index])
 
 
 def cmax(graph: Graph) -> int:

@@ -17,9 +17,8 @@ one gather buffer of the same size, for the whole run: a permutation gate
 gate is one ``matmul`` of its ``gates.matrix`` against the state gathered
 with the gate's axes first, written back into the state array. Gate noise
 evolves each distinct Pauli error pattern of a run once (Monte-Carlo
-wavefunction trajectories weighted by how often each pattern was drawn),
-and draws all patterns from the raw generator words at once, replaying the
-stream of one ``random()`` per (gate, qubit) exactly.
+wavefunction trajectories weighted by how often each pattern was drawn);
+one ``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
 """
 from __future__ import annotations
 
@@ -156,62 +155,33 @@ def prepare(circuit: Circuit) -> Prepared:
     return Prepared(circuit, _evolve(circuit))
 
 
-_CHUNK = 1 << 16  # raw words per read; bounds the words held, not the draw
-_TO_DOUBLE = 2.0**-53
+_CHUNK = 1 << 16  # doubles per read; bounds the memory held, not the stream
 
 
 def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pattern]:
-    """The Pauli error patterns of ``trajectories`` trajectories, drawn as
-    one per-trajectory loop would: for every (gate, qubit) one ``random()``,
-    and one ``integers(3)`` choosing X, Y or Z per hit.
-
-    Reads the raw PCG64 words instead and compares all their doubles
-    ``(u >> 11) * 2**-53`` with ``p`` at once. Only hits go through Python,
-    where ``integers(3)`` is replayed as numpy's Lemire draw (threshold 1)
-    on the buffered ``next_uint32``: the low half of a fresh word, or the
-    high half kept from the previous one. ``rng`` ends in the state the
-    loop would leave it in.
-    """
+    """The Pauli error patterns of ``trajectories`` trajectories. Each
+    (trajectory, gate, qubit), trajectory-major in circuit order, reads one
+    ``rng.random()`` double u: u < p is an error, X below p/3, Y below 2p/3
+    and Z below p, so the Pauli is uniform given a hit. Only hits go
+    through Python; the stream does not depend on ``_CHUNK``."""
     slots = [
         (index, q)
         for index, instr in enumerate(circuit.instructions)
         if instr.kind not in (GateKind.BARRIER, GateKind.MEASURE)
         for q in instr.qubits
     ]
+    bins = (p / 3, 2 * p / 3, p)
     found: dict[int, Errors] = {}  # trajectory -> its errors, if any
-    bitgen = rng.bit_generator
-    first = bitgen.state
-    has, held = first["has_uint32"], first["uinteger"]  # the uint32 buffer
-    total, slot = len(slots) * trajectories, 0  # slot: next unread double
-    while slot < total:
-        words = bitgen.random_raw(min(total - slot, _CHUNK))
-        hits = np.flatnonzero((words >> np.uint64(11)) * _TO_DOUBLE < p)
-        start = 0  # the word of `slot`'s double
-        for hit in hits.tolist():
-            if hit < start:
-                continue  # the word fed an integers(3) draw
-            slot += hit - start
-            start = hit + 1
-            while True:
-                if has:
-                    has, value = 0, held * 3
-                else:
-                    word = int(words[start]) if start < words.size else bitgen.random_raw()
-                    start += 1
-                    has, held, value = 1, word >> 32, (word & 0xFFFFFFFF) * 3
-                if value & 0xFFFFFFFF:  # Lemire rejects a zero remainder
-                    break
+    total = len(slots) * trajectories
+    for first in range(0, total, _CHUNK):
+        u = rng.random(min(total - first, _CHUNK))
+        hits = np.flatnonzero(u < p)
+        paulis = np.searchsorted(bins, u[hits], side="right")
+        for slot, pauli in zip((hits + first).tolist(), paulis.tolist()):
             trajectory, at = divmod(slot, len(slots))
             index, q = slots[at]
             errors = found.setdefault(trajectory, {})
-            errors[index] = errors.get(index, ()) + ((q, _PAULIS[value >> 32]),)
-            slot += 1
-        # past the end when the last draw read a fresh word of its own
-        slot += max(words.size - start, 0)
-    if (has, held) != (first["has_uint32"], first["uinteger"]):
-        state = bitgen.state
-        state.update(has_uint32=has, uinteger=held)
-        bitgen.state = state
+            errors[index] = errors.get(index, ()) + ((q, _PAULIS[pauli]),)
     patterns: list[Pattern] = [()] * trajectories
     for trajectory, errors in found.items():
         patterns[trajectory] = tuple(errors.items())

@@ -6,9 +6,10 @@ deliberately avoiding the simulator's in-place slice-swap and matmul
 kernel, so the two can cross-check each other. Gate matrices are restated
 here from their textbook definitions instead of being imported.
 ``tensordot_apply`` is the simulator's earlier gate kernel, kept as the
-reference for the in-place one, and ``per_call_errors`` its earlier
-per-draw trajectory error stream. ``circuit_objective`` is the QAOA
-objective that evolved the built circuit in every evaluation. jsonschema
+reference for the in-place one, and ``per_call_errors`` the trajectory
+error stream drawn one scalar ``random()`` at a time.
+``circuit_objective`` is the QAOA objective that evolved the built
+circuit in every evaluation. jsonschema
 is the reference for the config checker; qtrust itself does not import it.
 ``as_counts`` turns a dict literal into the ``Counts`` the library takes.
 """
@@ -179,11 +180,20 @@ def depolarizing_oracle(circuit, p: float) -> dict[str, float]:
     return _as_dict(_measured(np.real(np.diag(rho)), circuit))
 
 
+def _pauli_hit(u: float, p: float) -> int | None:
+    """Which Pauli (0, 1, 2 for X, Y, Z) a draw ``u`` of one (gate, qubit)
+    puts there: none unless ``u < p``, then X below p/3, Y below 2p/3, Z
+    below p."""
+    if u >= p:
+        return None
+    return 0 if u < p / 3 else 1 if u < 2 * p / 3 else 2
+
+
 def per_shot_trajectories(circuit, p: float, shots: int, rng) -> np.ndarray:
     """Mean measured-bit vector of ``shots`` Pauli trajectories, one
     statevector per shot, drawing errors inline as the simulator's stream
-    does: per (gate, qubit) one ``rng.random()``, and on a hit one
-    ``rng.integers(3)`` picking X, Y or Z, applied right after the gate."""
+    does: per (gate, qubit) one ``rng.random()``, whose value decides
+    whether an X, Y or Z is applied right after the gate."""
     n = circuit.num_qubits
     gates = list(_gates(circuit))
     paulis = _paulis(n)
@@ -194,8 +204,9 @@ def per_shot_trajectories(circuit, p: float, shots: int, rng) -> np.ndarray:
         for qubits, gate in gates:
             psi = gate @ psi
             for q in qubits:
-                if rng.random() < p:
-                    psi = paulis[q][rng.integers(3)] @ psi
+                hit = _pauli_hit(rng.random(), p)
+                if hit is not None:
+                    psi = paulis[q][hit] @ psi
         acc += _measured(np.abs(psi) ** 2, circuit) / shots
     return acc
 
@@ -210,14 +221,15 @@ def tensordot_apply(psi: np.ndarray, gate: np.ndarray, axes) -> np.ndarray:
 
 
 def per_call_errors(circuit, p: float, rng) -> dict:
-    """One trajectory's Pauli errors, one generator call per draw: for every
-    (gate, qubit) one ``rng.random()``, and on a hit one ``rng.integers(3)``
-    picking X, Y or Z. {instruction index: ((qubit, "x" | "y" | "z"), ...)}"""
+    """One trajectory's Pauli errors, one scalar ``rng.random()`` per
+    (gate, qubit) in circuit order, binned by ``_pauli_hit``.
+    {instruction index: ((qubit, "x" | "y" | "z"), ...)}"""
     errors = {}
     for index, instr in enumerate(circuit.instructions):
         if instr.kind.value in ("barrier", "measure"):
             continue
-        hits = tuple((q, "xyz"[rng.integers(3)]) for q in instr.qubits if rng.random() < p)
+        draws = [(q, _pauli_hit(rng.random(), p)) for q in instr.qubits]
+        hits = tuple((q, "xyz"[hit]) for q, hit in draws if hit is not None)
         if hits:
             errors[index] = hits
     return errors
@@ -281,8 +293,17 @@ def readout_oracle(
 # --- dict metrics: key-by-key references for the vector metrics ----------------
 #
 # These walk string keys the way the metrics did before they moved onto the
-# dense vector. Sums run in the dict's iteration order, so a histogram given
-# in key order reproduces the vector metrics' bits exactly.
+# dense vector. Sums run left to right in the dict's iteration order, so a
+# histogram given in key order reproduces the vector metrics' bits exactly.
+
+
+def left_to_right_sum(values):
+    """``acc = acc + x`` over ``values``: the order the metrics add in, which
+    Python's ``sum`` keeps for floats only before 3.12."""
+    acc = 0
+    for x in values:
+        acc = acc + x
+    return acc
 
 
 def _check_widths(keys, width: int | None = None) -> int:
@@ -319,7 +340,7 @@ def dict_pm(counts: dict, correct: str) -> float:
 
 
 def _normalize(hist: dict) -> dict:
-    total = float(sum(hist.values()))
+    total = float(left_to_right_sum(hist.values()))
     return {k: v / total for k, v in hist.items()}
 
 
@@ -327,7 +348,7 @@ def dict_tvd(a: dict, b: dict) -> float:
     _check_widths(b.keys(), _check_widths(a.keys()))
     pa, pb = _normalize(a), _normalize(b)
     keys = sorted(set(pa) | set(pb))
-    return 0.5 * sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
+    return 0.5 * left_to_right_sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in keys)
 
 
 def dict_stitch(parts: list[dict]) -> dict:
@@ -342,7 +363,7 @@ def dict_stitch(parts: list[dict]) -> dict:
 
 def dict_top_outcome(counts: dict) -> tuple[str, float]:
     key, count = dict_ranked(counts)[0]
-    return key, count / sum(counts.values())
+    return key, count / left_to_right_sum(counts.values())
 
 
 def string_cut_value(bitstring: str, edges) -> int:

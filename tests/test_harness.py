@@ -203,6 +203,43 @@ def test_bad_qaoa_graph_is_config_error(tmp_path, capsys, graph):
     assert "config error: /workload/qaoa:" in capsys.readouterr().err
 
 
+# each a QAOA budget its defense cannot split; past the load, every cell fails
+BAD_ITERATIONS = {
+    "odd_split": ({"iterations": 11}, {"mode": "qaoa_split"}, "even iteration budget"),
+    "adaptive_probes_use_all": (
+        {"iterations": 20},  # 2 backends x 2 runs x 5 probe iterations
+        {"mode": "qaoa_adaptive", "probe_iterations": 5, "probe_runs": 2},
+        "budget 20 cannot cover 20 probe iterations",
+    ),
+    "adaptive_default_probes": (
+        {},  # 50 default iterations, 2 backends x 5 runs x 5 default iterations
+        {"mode": "qaoa_adaptive", "probe_runs": 5},
+        "budget 50 cannot cover 50 probe iterations",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "qaoa, defense, message", BAD_ITERATIONS.values(), ids=list(BAD_ITERATIONS)
+)
+def test_unsplittable_qaoa_budget_is_config_error(
+    tmp_path, capsys, qaoa, defense, message
+):
+    cfg = base_config(
+        workload={"qaoa": {"nodes": 4, "degree": 2, **qaoa}}, defense=defense
+    )
+    with pytest.raises(ConfigError, match=f"^/workload/qaoa/iterations: .*{message}"):
+        load_config(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "config error: /workload/qaoa/iterations:" in capsys.readouterr().err
+    # one iteration more splits
+    iterations = cfg["workload"]["qaoa"].get("iterations", 50) + 1
+    cfg["workload"]["qaoa"]["iterations"] = iterations
+    assert load_config(cfg).workload.qaoa.iterations == iterations
+
+
 # Python's json reads NaN and Infinity; past the load, each of these would
 # fail every cell, or escape as a NoiseError (readout)
 NON_FINITE = {

@@ -10,9 +10,11 @@ import oracles
 from oracles import as_counts
 from qtrust.backend import BackendModel, NoiseModel
 from qtrust.benchmarks import builtin
+from qtrust import metrics
 from qtrust.metrics import (
     Counts,
     KeyLengthMismatch,
+    _ordered_sum,
     pm,
     ranked,
     stitch,
@@ -225,3 +227,39 @@ def test_vector_metrics_equal_the_dict_references_exactly(data):
     assert tvd(ca, cb) == oracles.dict_tvd(a, b)
     assert stitch([ca, cb]) == oracles.dict_stitch([a, b])
     assert stitch([ca]) == a
+
+
+# --- left-to-right sums -----------------------------------------------------------
+
+
+@given(
+    st.lists(
+        st.floats(-1e6, 1e6) | st.floats(0, 1) | st.sampled_from([0.1, 0.2, 0.3]),
+        max_size=3 * metrics._LOOP_BELOW,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_ordered_sum_adds_left_to_right_on_both_branches(values):
+    want = oracles.left_to_right_sum(values)
+    for given_as in (values, np.array(values, dtype=float)):
+        got = _ordered_sum(given_as)
+        assert type(got) is type(want) and got == want  # equal, not close
+    counts = [round(abs(v)) for v in values]
+    assert _ordered_sum(np.array(counts, dtype=np.int64)) == sum(counts)
+
+
+# Python 3.12's sum() gives the exactly rounded 0.6 and 4.0 here; the short
+# case takes the loop, the long one np.add.accumulate
+ORDER_SENSITIVE = {
+    "short": ([0.1, 0.2, 0.3], 0.6000000000000001),
+    "long": ([0.1] * 40, 4.000000000000002),
+}
+
+
+def test_ordered_sum_differs_from_a_compensated_sum():
+    short, long = ORDER_SENSITIVE["short"][0], ORDER_SENSITIVE["long"][0]
+    assert len(short) < metrics._LOOP_BELOW <= len(long)
+    for values, want in ORDER_SENSITIVE.values():
+        assert math.fsum(values) != want
+        assert _ordered_sum(values) == want
+        assert _ordered_sum(np.array(values)) == want

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
     assert elapsed < 10.0
 
 
-# --- in-place gate kernel and raw-stream error draws ---------------------------
+# --- in-place gate kernel and batched error draws ----------------------------
 
 _UNITARY_KINDS = [k for k in GateKind if k not in (GateKind.BARRIER, GateKind.MEASURE)]
 _PERMUTATION_KINDS = {GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CCX}
@@ -483,7 +484,7 @@ def _as_names(pattern):
 
 def _check_draws_match_per_call(circuit, p, seed, trajectories):
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if seed % 2:  # start with half a word left in the uint32 buffer
+    if seed % 2:  # a uint32 left in the buffer, which random() must not touch
         want_rng.integers(3)
         got_rng.integers(3)
     want = [per_call_errors(circuit, p, want_rng) for _ in range(trajectories)]
@@ -502,7 +503,39 @@ def test_raw_stream_draws_match_per_call_draws(name, p):
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
 def test_raw_stream_draws_match_across_buffer_refills(monkeypatch, p):
-    # a 5-word buffer refills mid-trajectory and runs out inside integers(3)
+    # 5-double reads end mid-trajectory and mid-gate
     monkeypatch.setattr(simulator, "_CHUNK", 5)
     for seed in range(6):
         _check_draws_match_per_call(_noisy_circuit(), p, seed, 40)
+
+
+# chi-square critical values at the 0.001 level for 1 and 2 degrees of freedom
+_CHI2_999 = {1: 10.828, 2: 13.816}
+
+
+def _chi2(observed, expected) -> float:
+    return sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+
+
+@pytest.mark.parametrize("p", [0.05, 1.0])
+def test_error_draws_hit_at_rate_p_with_uniform_paulis(p):
+    circuit = builtin("adder_n10").circuit
+    slots = sum(
+        len(instr.qubits)
+        for instr in circuit.instructions
+        if instr.kind not in (GateKind.BARRIER, GateKind.MEASURE)
+    )
+    trajectories = 2000
+    patterns = _draw_errors(circuit, p, np.random.default_rng(2024), trajectories)
+    paulis = Counter(
+        kind for pattern in patterns for _, hits in pattern for _, kind in hits
+    )
+    hits, total = sum(paulis.values()), slots * trajectories
+    if p < 1.0:
+        rate = _chi2([hits, total - hits], [total * p, total * (1 - p)])
+        assert rate < _CHI2_999[1]
+    else:
+        assert hits == total
+    third = [hits / 3] * 3
+    observed = [paulis[kind] for kind in (GateKind.X, GateKind.Y, GateKind.Z)]
+    assert _chi2(observed, third) < _CHI2_999[2]
