@@ -1,5 +1,5 @@
-"""Simulated backend models: readout noise, per-run drift and an optional
-tampering configuration.
+"""Simulated backends, the unit of (un)trust: one ``BackendModel`` holds
+the five fields of a config's ``backends[]`` object.
 
 Default noise magnitudes used by the harness (symmetric readout error
 0.02, drift 0.01) are artifact choices, not measured hardware values.
@@ -18,38 +18,35 @@ class NoiseError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Per-qubit readout channel plus an optional depolarizing knob.
+class BackendModel:
+    """A named simulated hardware target.
 
     ``readout`` is either a single (p01, p10) pair broadcast to every
-    qubit, or one pair per qubit index.
+    qubit, or one pair per qubit index. ``gate_depolarizing`` is the
+    per-gate, per-qubit Pauli error rate; ``drift`` the per-run uniform
+    jitter amplitude on the readout probabilities.
     """
 
+    name: str
     readout: ReadoutPair | tuple[ReadoutPair, ...] = (0.0, 0.0)
     gate_depolarizing: float = 0.0
+    drift: float = 0.0
+    tamper: TamperSpec | None = None
 
     def __post_init__(self):
-        for p in self._flat():
+        if not self.name:
+            raise NoiseError("backend needs a name")
+        pairs = self.readout if self._per_qubit() else (self.readout,)
+        for p in (p for pair in pairs for p in pair):
             if not 0.0 <= p <= 0.5:
                 raise NoiseError(f"readout probability {p} outside [0, 0.5]")
         if not 0.0 <= self.gate_depolarizing <= 1.0:
             raise NoiseError("gate_depolarizing outside [0, 1]")
-
-    def _flat(self):
-        if self._per_qubit():
-            return [p for pair in self.readout for p in pair]
-        return list(self.readout)
+        if self.drift < 0.0:
+            raise NoiseError("drift amplitude must be non-negative")
 
     def _per_qubit(self) -> bool:
         return bool(self.readout) and isinstance(self.readout[0], tuple)
-
-    @classmethod
-    def symmetric(cls, p: float) -> "NoiseModel":
-        return cls(readout=(p, p))
-
-    @classmethod
-    def ideal(cls) -> "NoiseModel":
-        return cls()
 
     def pair_for(self, qubit: int) -> ReadoutPair:
         if self._per_qubit():
@@ -57,22 +54,6 @@ class NoiseModel:
                 raise NoiseError(f"no readout pair for qubit {qubit}")
             return self.readout[qubit]
         return self.readout  # broadcast
-
-
-@dataclass(frozen=True)
-class BackendModel:
-    """A named simulated hardware target; the unit of (un)trust."""
-
-    name: str
-    noise: NoiseModel = NoiseModel()
-    tamper: TamperSpec | None = None
-    drift: float = 0.0  # per-run uniform jitter amplitude on readout probs
-
-    def __post_init__(self):
-        if not self.name:
-            raise NoiseError("backend needs a name")
-        if self.drift < 0.0:
-            raise NoiseError("drift amplitude must be non-negative")
 
     def with_tamper(self, tamper: TamperSpec | None) -> "BackendModel":
         return replace(self, tamper=tamper)

@@ -96,6 +96,8 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Immutable instruction list; no gate may act on a measured qubit."""
+
     num_qubits: int
     num_clbits: int
     instructions: tuple[Instruction, ...]
@@ -125,6 +127,10 @@ class Circuit:
                     )
                 seen_q.add(q)
                 seen_c.add(instr.clbit)
+            elif seen_q and not seen_q.isdisjoint(instr.qubits):
+                # measure-last rule; no set work until a qubit is measured
+                if instr.kind is not GateKind.BARRIER:
+                    raise CircuitError("gate after measurement is unsupported")
 
     @cached_property
     def measured_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -140,12 +146,15 @@ class Circuit:
     def num_measured(self) -> int:
         return len(self.measured_pairs)
 
+    @cached_property
+    def gates(self) -> tuple[tuple[int, Instruction], ...]:
+        """(instruction index, instruction) of each gate, in circuit order."""
+        listed = enumerate(self.instructions)
+        skip = (GateKind.BARRIER, GateKind.MEASURE)
+        return tuple((i, instr) for i, instr in listed if instr.kind not in skip)
+
     def gate_count(self) -> int:
-        return sum(
-            1
-            for i in self.instructions
-            if i.kind not in (GateKind.BARRIER, GateKind.MEASURE)
-        )
+        return len(self.gates)
 
     def depth(self) -> int:
         """Greedy layering depth over gates and measurements."""

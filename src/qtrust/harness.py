@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .adversary import TamperMode, TamperSpec
-from .backend import BackendModel, NoiseError, NoiseModel
+from .backend import BackendModel, NoiseError
 from .benchmarks import builtin
 from .circuit import CapacityExceeded, CircuitError
 from .defense import (
@@ -429,18 +429,16 @@ def _build_backend(raw: dict) -> BackendModel:
         pairs = tuple((float(a), float(b)) for a, b in readout)
     else:
         pairs = (float(readout[0]), float(readout[1]))
-    noise = NoiseModel(
-        readout=pairs, gate_depolarizing=raw.get("gate_depolarizing", 0.0)
-    )
     tamper = None
     if "tamper" in raw:
         spec = raw["tamper"]
         tamper = TamperSpec(TamperMode(spec["mode"]), spec["t"], spec.get("k"))
     return BackendModel(
         name=raw["name"],
-        noise=noise,
-        tamper=tamper,
+        readout=pairs,
+        gate_depolarizing=raw.get("gate_depolarizing", 0.0),
         drift=raw.get("drift", DEFAULT_DRIFT),
+        tamper=tamper,
     )
 
 
@@ -452,7 +450,7 @@ def _check_readout(backends, workload: Workload) -> None:
         last = max(q for q, _ in workload.prepared.circuit.measured_pairs)
     for i, backend in enumerate(backends):
         try:
-            backend.noise.pair_for(last)
+            backend.pair_for(last)
         except NoiseError as exc:
             raise ConfigError(f"/backends/{i}/readout: {exc}")
 

@@ -51,6 +51,8 @@ class Graph:
         if self.n < 2:
             raise GraphError("graph needs at least two nodes")
         _check_capacity(self.n)
+        if not self.edges:  # every cut is 0, so cmax is 0 and the AR undefined
+            raise GraphError("graph has no edges")
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at node {u}")

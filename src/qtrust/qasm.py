@@ -42,7 +42,7 @@ _BINARY = {
 
 _MAX_EXPANSION_DEPTH = 32
 _MAX_EXPR_DEPTH = 64
-MAX_INSTRUCTIONS = 100_000  # per circuit, after macro expansion
+MAX_INSTRUCTIONS = 100_000  # per circuit after expansion, and its id and macro calls
 
 
 class QasmError(ValueError):
@@ -104,7 +104,9 @@ class _GateDef(NamedTuple):
     params: list[str]
     qargs: list[str]
     body: list[tuple]  # (name, exprs, qarg names, line) per call
-    size: int  # instructions one application expands to
+    # one application's (instructions built, calls that build nothing:
+    # itself, the macros it expands and their id calls)
+    cost: tuple[int, int]
 
 
 def _eval(node, env: dict[str, float]) -> float:
@@ -152,6 +154,7 @@ class _Parser:
         self.cregs: dict[str, tuple[int, int]] = {}
         self.gatedefs: dict[str, _GateDef] = {}
         self.instructions: list[Instruction] = []
+        self.calls = 0  # expansion calls so far that built nothing
 
     # --- token plumbing -------------------------------------------------
 
@@ -334,8 +337,9 @@ class _Parser:
             else:
                 body.append(self._parse_body_call(qargs))
         self._expect("}")
-        size = sum(self._size(call[0]) for call in body)
-        self.gatedefs[name.text] = _GateDef(params, qargs, body, size)
+        costs = [self._cost(call[0]) for call in body]
+        cost = sum(size for size, _ in costs), 1 + sum(calls for _, calls in costs)
+        self.gatedefs[name.text] = _GateDef(params, qargs, body, cost)
 
     def _parse_body_call(self, qargs):
         name = self._expect_id()
@@ -383,22 +387,32 @@ class _Parser:
         if len(sizes) > 1:
             raise QasmSyntaxError("mismatched register sizes in broadcast", name.line)
         repeats = sizes.pop() if sizes else 1
-        total = len(self.instructions) + repeats * self._size(name.text)
+        size, calls = self._cost(name.text)
+        total = len(self.instructions) + repeats * size
+        total_calls = self.calls + repeats * calls
+        # both checked before any instruction of the application is built
         if total > MAX_INSTRUCTIONS:
-            # checked before any instruction of the application is built
             raise CapacityExceeded(
                 f"line {name.line}: {name.text} would take the circuit to {total} "
                 f"instructions, past the {MAX_INSTRUCTIONS}-instruction guard"
             )
+        if total_calls > MAX_INSTRUCTIONS:  # macros that build little or nothing
+            raise CapacityExceeded(
+                f"line {name.line}: {name.text} would take the expansion to "
+                f"{total_calls} macro and id calls, past the "
+                f"{MAX_INSTRUCTIONS}-call guard"
+            )
+        self.calls = total_calls
         for i in range(repeats):
             qubits = [bits[i] if bare else bits[0] for bits, bare, _ in args]
             self._emit_call(name.text, params, qubits, name.line, depth=0)
 
-    def _size(self, name: str) -> int:
-        """Instructions one call of `name` builds (0 if it is unknown)."""
+    def _cost(self, name: str) -> tuple[int, int]:
+        """(instructions built, calls that build nothing) of one call of
+        `name`; (0, 0) if it is unknown."""
         if name in self.gatedefs:
-            return self.gatedefs[name].size
-        return int(name in _PRIMITIVES)  # "id" is no primitive: it builds nothing
+            return self.gatedefs[name].cost
+        return int(name in _PRIMITIVES), int(name == "id")  # id builds nothing
 
     def _emit_call(self, name, params, qubits, line, depth) -> None:
         if depth > _MAX_EXPANSION_DEPTH:

@@ -1,24 +1,21 @@
 """Dense statevector execution, readout and tamper noise, and seeded shot
 sampling.
 
-One dense vector indexed by the integer outcome runs through readout and
-tamper flips (both ``adversary.flip_channel``) to the multinomial draw.
-``sample_counts`` takes a ``metrics.Counts``, and every result is one: a
-view of the vector computed, of probabilities or of shot counts. Keys
-follow the q_{n-1}...q_0 convention; line 0 is the rightmost character.
-
-``prepare`` is the one place that evolves a noise-free statevector and the
-one stage that takes a plain circuit; every other stage takes its
-``Prepared`` result and reads the vector from it. The QAOA objective builds
-its ``Prepared`` from ``qaoa.probabilities``, which computes the vector of
-its circuit without evolving gates. ``_evolve`` owns one state array, plus
-one gather buffer of the same size, for the whole run: a permutation gate
-(X, CX, SWAP, CCX) swaps two slices of the state in place, and any other
-gate is one ``matmul`` of its ``gates.matrix`` against the state gathered
-with the gate's axes first, written back into the state array. Gate noise
+Every stage reads the fields of one ``BackendModel`` (readout pairs,
+gate_depolarizing, drift, tamper) and a ``Prepared`` circuit. ``prepare``
+is the one stage that takes a plain circuit and the one place that evolves
+its noise-free vector; the QAOA objective builds its ``Prepared`` from
+``qaoa.probabilities`` instead. A ``Circuit`` measures each qubit after its
+last gate, so ``_evolve`` runs ``circuit.gates`` on one state array and one
+gather buffer (X, CX, SWAP and CCX swap two slices in place, any other gate
+is one ``matmul``) and then sums out the unmeasured qubits. Gate noise
 evolves each distinct Pauli error pattern of a run once (Monte-Carlo
 wavefunction trajectories weighted by how often each pattern was drawn);
 one ``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
+The resulting vector, indexed by the integer outcome, runs through readout
+and tamper flips (both ``adversary.flip_channel``) to the multinomial
+draw; every result is a ``metrics.Counts``. Keys follow the q_{n-1}...q_0
+convention; line 0 is the rightmost character.
 """
 from __future__ import annotations
 
@@ -126,15 +123,7 @@ def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
     state[0] = 1.0
     buffer = np.empty_like(state)
     psi = state.reshape((2,) * n)
-    measured: set[int] = set()
-    for index, instr in enumerate(circuit.instructions):
-        if instr.kind is GateKind.BARRIER:
-            continue
-        if instr.kind is GateKind.MEASURE:
-            measured.add(instr.qubits[0])
-            continue
-        if measured.intersection(instr.qubits):
-            raise CircuitError("gate after measurement is unsupported")
+    for index, instr in circuit.gates:
         axes = [n - 1 - q for q in instr.qubits]
         psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
         for q, kind in errors.get(index, ()):
@@ -164,12 +153,7 @@ def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pat
     ``rng.random()`` double u: u < p is an error, X below p/3, Y below 2p/3
     and Z below p, so the Pauli is uniform given a hit. Only hits go
     through Python; the stream does not depend on ``_CHUNK``."""
-    slots = [
-        (index, q)
-        for index, instr in enumerate(circuit.instructions)
-        if instr.kind not in (GateKind.BARRIER, GateKind.MEASURE)
-        for q in instr.qubits
-    ]
+    slots = [(index, q) for index, instr in circuit.gates for q in instr.qubits]
     bins = (p / 3, 2 * p / 3, p)
     found: dict[int, Errors] = {}  # trajectory -> its errors, if any
     total = len(slots) * trajectories
@@ -214,7 +198,7 @@ def sample_counts(dist: Counts, shots: int, seed: int) -> Counts:
 
 def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
     ordered = circuit.measured_pairs  # clbit descending = left to right
-    return [backend.noise.pair_for(q) for q, _ in reversed(ordered)]
+    return [backend.pair_for(q) for q, _ in reversed(ordered)]
 
 
 def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
@@ -254,11 +238,9 @@ def execute(
 ) -> Counts:
     """Full pipeline: statevector -> drift jitter -> readout channel ->
     tamper channel -> multinomial sampling."""
-    if backend.noise.gate_depolarizing > 0.0:
+    if backend.gate_depolarizing > 0.0:
         rng = derive_rng(seed, backend.name, "trajectories")
-        probs = _trajectory_vector(
-            prepared, backend.noise.gate_depolarizing, shots, rng
-        )
+        probs = _trajectory_vector(prepared, backend.gate_depolarizing, shots, rng)
     else:
         probs = prepared.ideal
     pairs = _line_pairs(backend, prepared.circuit)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qtrust.adversary import TamperMode, TamperSpec, flip_channel
-from qtrust.backend import BackendModel, NoiseModel
+from qtrust.backend import BackendModel
 from qtrust.benchmarks import BENCHMARK_NAMES, LARGE_BENCHMARK_NAMES, builtin
 from qtrust.defense import equal_split, probe, qaoa_iteration_split, select_backend
 from qtrust.harness import load_config, run_experiment
@@ -41,7 +41,7 @@ from qtrust.simulator import (
 
 from oracles import as_counts, oracle_distribution
 
-NOISE = NoiseModel.symmetric(0.02)
+READOUT = (0.02, 0.02)
 DRIFT = 0.01
 
 
@@ -52,12 +52,12 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _clean(name="hw_a"):
-    return BackendModel(name, NOISE, drift=DRIFT)
+    return BackendModel(name, READOUT, drift=DRIFT)
 
 
 def _tampered(name="hw_b", t=0.5):
     return BackendModel(
-        name, NOISE, tamper=TamperSpec(TamperMode.TARGETED, t), drift=DRIFT
+        name, READOUT, tamper=TamperSpec(TamperMode.TARGETED, t), drift=DRIFT
     )
 
 
@@ -118,7 +118,7 @@ def test_criterion_03_full_mixing_invariant():
     for name in BENCHMARK_NAMES + LARGE_BENCHMARK_NAMES:
         bench = builtin(name)
         width = bench.circuit.num_measured
-        dist = clean_distribution(BackendModel("hw", NOISE), prepare(bench.circuit))
+        dist = clean_distribution(BackendModel("hw", READOUT), prepare(bench.circuit))
         for line in range(width):
             spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(line,))
             out = Counts(flip_channel(dist.vector, spec.flips(width)))
@@ -129,7 +129,7 @@ def test_criterion_03_full_mixing_invariant():
     # sampled check on one representative line
     bench = builtin("toffoli_n3")
     spec = TamperSpec(TamperMode.TARGETED, 0.5, lines=(0,))
-    clean = clean_distribution(BackendModel("hw", NOISE), prepare(bench.circuit))
+    clean = clean_distribution(BackendModel("hw", READOUT), prepare(bench.circuit))
     dist = Counts(flip_channel(clean.vector, spec.flips(3)))
     counts = sample_counts(dist, 100_000, seed=0)
     sampled = sum(c for k, c in counts.items() if k[2] == "1") / 100_000
@@ -147,7 +147,7 @@ def _pm_values(name: str, t: float, shots: int, seeds: int = 20) -> list[float]:
             backend = _clean("hw")
         else:
             backend = BackendModel(
-                "hw", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t), drift=DRIFT
+                "hw", READOUT, tamper=TamperSpec(TamperMode.TARGETED, t), drift=DRIFT
             )
         backend = resolve_tamper(backend, prepared, seed)
         counts = execute(backend, prepared, shots, seed)
@@ -158,7 +158,7 @@ def _pm_values(name: str, t: float, shots: int, seeds: int = 20) -> list[float]:
 def _analytic_pm(name: str, t: float, seeds: int = 20) -> float:
     """Largest exact PM of the tampered distribution over the seeds' plans."""
     bench = builtin(name)
-    backend = BackendModel("hw", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t))
+    backend = BackendModel("hw", READOUT, tamper=TamperSpec(TamperMode.TARGETED, t))
     prepared = prepare(bench.circuit)
     dist = clean_distribution(backend, prepared)
     width = bench.circuit.num_measured
@@ -223,9 +223,9 @@ def test_criterion_06_equal_split_analytic():
     failures = []
     worst_tvd = 0.0
     for t in (0.1, 0.2, 0.3, 0.4, 0.5):
-        clean_bk = BackendModel("hw_a", NOISE)
+        clean_bk = BackendModel("hw_a", READOUT)
         tampered_bk = BackendModel(
-            "hw_b", NOISE, tamper=TamperSpec(TamperMode.TARGETED, t)
+            "hw_b", READOUT, tamper=TamperSpec(TamperMode.TARGETED, t)
         )
         counts, _ = equal_split([clean_bk, tampered_bk], prepared, 100_000, seed=0)
         resolved = resolve_tamper(tampered_bk, prepared, 0)
@@ -287,7 +287,7 @@ def test_criterion_08_qaoa_sanity():
     )
     grid_ok = best >= cmax(graph) - 1e-6
 
-    backend = BackendModel("hw", NoiseModel.ideal())
+    backend = BackendModel("hw")
     hits = sum(
         optimize(backend, graph, iterations=50, shots_per_iter=50, seed=s).ar >= 0.95
         for s in range(20)

@@ -90,6 +90,24 @@ def test_gate_count_ignores_measure_and_barrier():
     assert c.gate_count() == 2
 
 
+def test_gates_lists_each_gate_with_its_instruction_index():
+    b = CircuitBuilder(2)
+    b.gate(GateKind.H, 0).gate(GateKind.BARRIER).gate(GateKind.CX, 0, 1)
+    c = b.measure_all().build()
+    assert c.gates == ((0, c.instructions[0]), (2, c.instructions[2]))
+    assert c.gates is c.gates
+
+
+def test_gate_on_a_measured_qubit_rejected():
+    # a barrier over a measured qubit and a gate on another one may follow
+    b = CircuitBuilder(2, 2).gate(GateKind.H, 0).measure(0, 0)
+    b.gate(GateKind.BARRIER).gate(GateKind.H, 1).measure(1, 1).build()
+    for kind, qubits in ((GateKind.H, (0,)), (GateKind.CX, (1, 0))):
+        b = CircuitBuilder(2, 1).measure(0, 0).gate(kind, *qubits)
+        with pytest.raises(CircuitError, match="^gate after measurement is"):
+            b.build()
+
+
 def test_depth_layering():
     b = CircuitBuilder(3)
     b.gate(GateKind.H, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from qtrust import simulator
 from qtrust.adversary import TamperMode, TamperSpec
-from qtrust.backend import BackendModel, NoiseModel
+from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
 from qtrust.defense import (
     DefenseError,
@@ -20,16 +20,16 @@ from qtrust.metrics import pm
 from qtrust.qaoa import Graph, QaoaConfig
 from qtrust.simulator import prepare
 
-NOISE = NoiseModel.symmetric(0.02)
+READOUT = (0.02, 0.02)
 TOFFOLI = prepare(builtin("toffoli_n3").circuit)
 
 
 def clean(name="hw_a"):
-    return BackendModel(name, NOISE, drift=0.01)
+    return BackendModel(name, READOUT, drift=0.01)
 
 
 def tampered(name="hw_b", t=0.5, mode=TamperMode.TARGETED, k=None):
-    return BackendModel(name, NOISE, tamper=TamperSpec(mode, t, k), drift=0.01)
+    return BackendModel(name, READOUT, tamper=TamperSpec(mode, t, k), drift=0.01)
 
 
 def test_adaptive_split_plans_a_targeted_backend_once(monkeypatch):

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,7 +181,7 @@ def test_short_per_qubit_readout_is_config_error(tmp_path, capsys, workload, pai
     assert "config error: /backends/1/readout:" in capsys.readouterr().err
 
     cfg["backends"][1]["readout"] = [[0.01, 0.02]] * (pairs + 1)
-    assert load_config(cfg).backends[1].noise.pair_for(pairs) == (0.01, 0.02)
+    assert load_config(cfg).backends[1].pair_for(pairs) == (0.01, 0.02)
 
 
 # each names a graph the QAOA workload cannot build or cannot simulate
@@ -187,6 +190,7 @@ BAD_GRAPHS = {
     "duplicate_edge": {"nodes": 4, "edges": [[0, 1], [1, 0]]},
     "out_of_range_edge": {"nodes": 4, "edges": [[0, 9]]},
     "self_loop": {"nodes": 4, "edges": [[2, 2]]},
+    "no_edges": {"nodes": 3, "edges": []},
     "too_many_nodes": {"nodes": 30, "degree": 3},
     "far_too_many_nodes": {"nodes": 200_000, "degree": 3},
 }
@@ -543,6 +547,28 @@ def test_jobs_do_not_change_results():
     serial, _ = run_experiment(config, jobs=1)
     parallel, _ = run_experiment(config, jobs=4)
     assert strip_wall_time(serial) == strip_wall_time(parallel)
+
+
+# sha256 of the records of the config below without wall_time_s, one
+# strip_wall_time line per record joined by newlines
+GOLDEN_DIGEST = "086c8c5218fafd576f71b10dc8e6d4e126da16a53f92b7eb5a0869c5f3bed0c8"
+GOLDEN_VERSIONS = "Python 3.11.7 and numpy 2.4.6"
+
+
+def test_golden_records_digest():
+    # adaptive with a gate-noise backend: its probe draws Pauli hits
+    noisy = {"name": "hw_c", "readout": 0.02, "gate_depolarizing": 0.002}
+    cfg = base_config(
+        backends=base_config()["backends"] + [noisy], defense={"mode": "adaptive"}
+    )
+    records, errors = run_experiment(load_config(cfg))
+    assert errors == []
+    digest = hashlib.sha256("\n".join(strip_wall_time(records)).encode()).hexdigest()
+    assert digest == GOLDEN_DIGEST, (
+        f"records moved: the digest was computed with {GOLDEN_VERSIONS}, this is "
+        f"Python {platform.python_version()} and numpy {np.__version__}; NEP 19 "
+        "does not freeze numpy's Generator streams across numpy versions"
+    )
 
 
 def test_cell_independence():

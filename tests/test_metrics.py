@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import as_counts
-from qtrust.backend import BackendModel, NoiseModel
+from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
 from qtrust import metrics
 from qtrust.metrics import (
@@ -181,7 +181,7 @@ def test_probabilities_are_counts_of_python_floats():
 def test_execute_returns_a_counts_over_every_outcome():
     circuit = builtin("adder_n4").circuit
     counts = execute(
-        BackendModel("hw", NoiseModel.symmetric(0.02)), prepare(circuit), 200, 1
+        BackendModel("hw", readout=(0.02, 0.02)), prepare(circuit), 200, 1
     )
     assert isinstance(counts, Counts)
     assert counts.vector.size == 2**circuit.num_measured

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrust.adversary import TamperMode, TamperSpec
-from qtrust.backend import BackendModel, NoiseModel
+from qtrust.backend import BackendModel
 from qtrust.circuit import CapacityExceeded, GateKind
 from qtrust import qaoa, simulator
 from qtrust.defense import qaoa_adaptive, qaoa_iteration_split
@@ -49,6 +49,10 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])  # duplicate after normalization
     with pytest.raises(GraphError):
         Graph.from_edges(1, [])
+    with pytest.raises(GraphError, match="graph has no edges"):
+        Graph.from_edges(3, [])
+    with pytest.raises(GraphError, match="graph has no edges"):
+        random_regular_graph(4, 0, seed=0)
 
 
 def test_graph_normalizes_edge_order():
@@ -78,7 +82,8 @@ def test_cmax_known_graphs():
 
 def _random_graph(n: int, rng: random.Random) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+    # at least one edge: an edgeless graph is a GraphError
+    return Graph.from_edges(n, rng.sample(pairs, max(1, rng.randint(0, len(pairs)))))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -219,7 +224,7 @@ def qaoa_cases(draw):
     """Any simple graph on 2-12 nodes, regular or not, with p = 1-3."""
     n = draw(st.integers(min_value=2, max_value=12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     p = draw(st.integers(min_value=1, max_value=3))
     gamma = draw(st.lists(_ANGLES, min_size=p, max_size=p))
     beta = draw(st.lists(_ANGLES, min_size=p, max_size=p))
@@ -241,7 +246,7 @@ def test_probabilities_match_the_evolved_circuit(case):
 
 
 def test_optimize_respects_budget():
-    backend = BackendModel("hw", NoiseModel.symmetric(0.02))
+    backend = BackendModel("hw", readout=(0.02, 0.02))
     g = Graph.from_edges(2, [(0, 1)])
     record = optimize(backend, g, iterations=17, shots_per_iter=50, seed=0)
     assert len(record.trace) == 17
@@ -251,7 +256,7 @@ def test_optimize_respects_budget():
 
 
 def test_optimize_deterministic():
-    backend = BackendModel("hw", NoiseModel.symmetric(0.02), drift=0.01)
+    backend = BackendModel("hw", readout=(0.02, 0.02), drift=0.01)
     g = c4()
     a = optimize(backend, g, iterations=20, seed=9)
     b = optimize(backend, g, iterations=20, seed=9)
@@ -260,7 +265,7 @@ def test_optimize_deterministic():
 
 
 def test_optimize_warm_start_used():
-    backend = BackendModel("hw", NoiseModel())
+    backend = BackendModel("hw")
     g = Graph.from_edges(2, [(0, 1)])
     init = QaoaParams((3 * math.pi / 4,), (math.pi / 8,))  # the exact optimum
     record = optimize(backend, g, iterations=5, shots_per_iter=200, seed=0,
@@ -284,22 +289,22 @@ def _count_evolves(monkeypatch) -> list[int]:
 def test_optimize_evolves_no_gates_without_gate_noise(monkeypatch):
     calls = _count_evolves(monkeypatch)
     rogue = TamperSpec(TamperMode.RANDOM_ALL, 0.3)
-    backend = BackendModel("hw", NoiseModel.symmetric(0.02), rogue, drift=0.01)
+    backend = BackendModel("hw", readout=(0.02, 0.02), drift=0.01, tamper=rogue)
     record = optimize(backend, c4(), iterations=12, seed=3)
     assert len(record.trace) == 12
     assert calls == [0]
     # gate-noise trajectories still evolve the built circuit
-    noisy = BackendModel("noisy", NoiseModel(gate_depolarizing=0.05))
+    noisy = BackendModel("noisy", gate_depolarizing=0.05)
     optimize(noisy, c4(), iterations=3, seed=3)
     assert calls[0] > 0
 
 
 _RECORD_BACKENDS = (
-    BackendModel("ideal", NoiseModel()),
+    BackendModel("ideal"),
     BackendModel(
-        "rogue", NoiseModel.symmetric(0.02), TamperSpec(TamperMode.RANDOM_ALL, 0.3)
+        "rogue", readout=(0.02, 0.02), tamper=TamperSpec(TamperMode.RANDOM_ALL, 0.3)
     ),
-    BackendModel("noisy", NoiseModel(gate_depolarizing=0.003)),
+    BackendModel("noisy", gate_depolarizing=0.003),
 )
 
 
@@ -325,6 +330,6 @@ def test_records_equal_those_of_the_circuit_objective(monkeypatch, seed):
 
 
 def test_optimize_rejects_bad_budget():
-    backend = BackendModel("hw", NoiseModel())
+    backend = BackendModel("hw")
     with pytest.raises(ValueError):
         optimize(backend, c4(), iterations=0)

@@ -223,12 +223,21 @@ def circuits(draw):
         width = draw(st.integers(1, n)) if kind is GateKind.BARRIER else kind.arity
         params = tuple(draw(angles) for _ in range(kind.num_params))
         instructions.append(Instruction(kind, tuple(qubits[:width]), params))
-    # distinct qubits onto distinct clbits, anywhere in the program
+    # distinct qubits onto distinct clbits, anywhere after the last gate
+    # on the measured qubit (barriers may follow)
     measured = draw(st.integers(0, min(n, clbits)))
     qubits = draw(st.permutations(range(n)))[:measured]
     targets = draw(st.permutations(range(clbits)))[:measured]
     for q, c in zip(qubits, targets):
-        at = draw(st.integers(0, len(instructions)))
+        last = max(
+            (
+                i
+                for i, instr in enumerate(instructions)
+                if instr.kind is not GateKind.BARRIER and q in instr.qubits
+            ),
+            default=-1,
+        )
+        at = draw(st.integers(last + 1, len(instructions)))
         instructions.insert(at, Instruction(GateKind.MEASURE, (q,), clbit=c))
     return Circuit(n, clbits, tuple(instructions))
 
@@ -329,23 +338,30 @@ def test_register_capacity_checked_at_declaration():
     assert parse_qasm("qreg q[24]; creg c[100];").num_qubits == 24
 
 
-def _doubling_macros(levels: int) -> str:
-    """Gate g{levels} expands to 2^(levels + 1) x instructions."""
-    lines = ["qreg q[1];", "gate g0 a { x a; x a; }"]
+def _doubling_macros(levels: int, body: str = "x a; x a;") -> str:
+    """Gate g{levels} makes 2^levels calls of g0, whose body is ``body``."""
+    lines = ["qreg q[1];", f"gate g0 a {{ {body} }}"]
     for i in range(1, levels + 1):
         lines.append(f"gate g{i} a {{ g{i - 1} a; g{i - 1} a; }}")
     return "\n".join(lines + [f"g{levels} q[0];"])
 
 
 def test_macro_expansion_capped_before_building():
-    # 131 072 instructions: raised at the application's line, not built
-    with pytest.raises(CapacityExceeded, match="line 19: g16 would take"):
-        parse_qasm(_doubling_macros(16))
-    # 2^32 instructions: fails at once instead of running for hours
-    start = time.perf_counter()
-    with pytest.raises(CapacityExceeded, match="100000-instruction guard"):
-        parse_qasm(_doubling_macros(31))
-    assert time.perf_counter() - start < 1.0
+    # x: 2^(levels + 1) instructions; id and empty: calls that build nothing
+    for body, total, guard in [
+        ("x a; x a;", "circuit", "instruction"),
+        ("id a; id a;", "expansion", "call"),
+        ("", "expansion", "call"),
+    ]:
+        # 2^17 instructions or more calls: raised at the application's line
+        match = f"line 19: g16 would take the {total}"
+        with pytest.raises(CapacityExceeded, match=match):
+            parse_qasm(_doubling_macros(16, body))
+        # 2^32 of them: fails at once instead of running for hours
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded, match=f"100000-{guard} guard"):
+            parse_qasm(_doubling_macros(31, body))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_instruction_cap_counts_the_whole_circuit(monkeypatch):
@@ -354,6 +370,16 @@ def test_instruction_cap_counts_the_whole_circuit(monkeypatch):
     assert len(parse_qasm(macro + "two q; id q; h q[0]; h q[1];").instructions) == 6
     with pytest.raises(CapacityExceeded, match="line 1: h would take the circuit to 7"):
         parse_qasm(macro + "two q; h q; h q[0];")
+
+
+def test_expansion_call_cap_counts_the_whole_circuit(monkeypatch):
+    monkeypatch.setattr(qasm, "MAX_INSTRUCTIONS", 6)
+    macro = "gate e a { id a; } qreg q[2]; "  # e q: 2 x 2 calls, builds nothing
+    assert len(parse_qasm(macro + "e q; id q; x q; h q;").instructions) == 4
+    with pytest.raises(
+        CapacityExceeded, match="line 1: id would take the expansion to 7 macro"
+    ):
+        parse_qasm(macro + "e q; id q; id q[0];")
 
 
 # --- robustness: malformed input raises QasmError or CircuitError -------

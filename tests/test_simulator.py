@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qtrust.adversary import TamperMode, TamperSpec, flip_channel
 from qtrust import simulator
-from qtrust.backend import BackendModel, NoiseModel
+from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
 from qtrust.circuit import CircuitBuilder, CircuitError, GateKind
 from qtrust.metrics import Counts, top_outcome, tvd
@@ -236,33 +236,33 @@ def test_sample_counts_seed_sensitivity():
 
 
 def test_execute_shot_conservation():
-    backend = BackendModel("hw", NoiseModel.symmetric(0.02), drift=0.01)
+    backend = BackendModel("hw", readout=(0.02, 0.02), drift=0.01)
     counts = execute(backend, prepare(_bell()), 500, seed=3)
     assert sum(counts.values()) == 500
 
 
 def test_execute_reproducible():
-    backend = BackendModel("hw", NoiseModel.symmetric(0.02), drift=0.01)
+    backend = BackendModel("hw", readout=(0.02, 0.02), drift=0.01)
     bell = prepare(_bell())
     assert execute(backend, bell, 200, seed=5) == execute(backend, bell, 200, seed=5)
 
 
 def test_execute_backend_name_decorrelates_streams():
-    noise, bell = NoiseModel.symmetric(0.02), prepare(_bell())
-    a = execute(BackendModel("hw_a", noise), bell, 400, seed=5)
-    b = execute(BackendModel("hw_b", noise), bell, 400, seed=5)
+    bell = prepare(_bell())
+    a = execute(BackendModel("hw_a", readout=(0.02, 0.02)), bell, 400, seed=5)
+    b = execute(BackendModel("hw_b", readout=(0.02, 0.02)), bell, 400, seed=5)
     assert a != b
 
 
 def test_clean_distribution_ignores_drift():
     bell = prepare(_bell())
-    base = BackendModel("hw", NoiseModel.symmetric(0.05))
-    drifty = BackendModel("hw", NoiseModel.symmetric(0.05), drift=0.05)
+    base = BackendModel("hw", readout=(0.05, 0.05))
+    drifty = BackendModel("hw", readout=(0.05, 0.05), drift=0.05)
     assert clean_distribution(base, bell) == clean_distribution(drifty, bell)
 
 
 def test_drift_jitter_changes_results_between_seeds():
-    backend = BackendModel("hw", NoiseModel.symmetric(0.1), drift=0.1)
+    backend = BackendModel("hw", readout=(0.1, 0.1), drift=0.1)
     bell = prepare(_bell())
     outcomes = {
         tuple(sorted(execute(backend, bell, 2000, seed=s).items()))
@@ -277,16 +277,15 @@ def test_gate_depolarizing_degrades_output():
     b.gate(GateKind.CX, 0, 1)
     b.measure_all()
     prepared = prepare(b.build())
-    clean = BackendModel("hw", NoiseModel())
-    noisy = BackendModel("hw", NoiseModel(gate_depolarizing=0.2))
+    clean = BackendModel("hw")
+    noisy = BackendModel("hw", gate_depolarizing=0.2)
     c_clean = execute(clean, prepared, 4000, seed=0)
     c_noisy = execute(noisy, prepared, 4000, seed=0)
     assert c_clean.get("11", 0) > c_noisy.get("11", 0)
 
 
 def test_per_qubit_readout_pairs():
-    noise = NoiseModel(readout=((0.0, 0.0), (0.5, 0.5)))
-    backend = BackendModel("hw", noise)
+    backend = BackendModel("hw", readout=((0.0, 0.0), (0.5, 0.5)))
     b = CircuitBuilder(2)
     b.measure_all()
     dist = clean_distribution(backend, prepare(b.build()))
@@ -325,7 +324,7 @@ def _noisy_circuit():
 def test_prepare_evolves_once_and_stages_evolve_nothing(monkeypatch):
     backend = BackendModel(
         "hw",
-        NoiseModel.symmetric(0.05),
+        readout=(0.05, 0.05),
         drift=0.01,
         tamper=TamperSpec(TamperMode.TARGETED, 0.3),
     )
@@ -365,7 +364,7 @@ def test_trajectory_mixture_replays_the_per_shot_stream():
 def test_gate_noise_execute_evolves_each_distinct_pattern_once(monkeypatch):
     circuit = builtin("adder_n4").circuit
     prepared = prepare(circuit)
-    backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.01))
+    backend = BackendModel("noisy", gate_depolarizing=0.01)
     shots, seed = 500, 4
     rng = derive_rng(seed, backend.name, "trajectories")
     patterns = set(_draw_errors(circuit, 0.01, rng, shots))
@@ -395,7 +394,7 @@ def test_trajectory_mixture_matches_density_matrix_oracle():
 
 def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
     bench = builtin("adder_n10")
-    backend = BackendModel("noisy", NoiseModel(gate_depolarizing=0.002))
+    backend = BackendModel("noisy", gate_depolarizing=0.002)
     calls = _count_evolves(monkeypatch)
     start = time.perf_counter()
     counts = execute(backend, prepare(bench.circuit), 10_000, seed=1)
