@@ -5,8 +5,10 @@ optimizer tolerant of shot noise.
 An objective evaluation evolves no gates for its noise-free vector:
 ``probabilities`` computes the measured vector of the QAOA circuit
 directly, the cost layer as one phase multiply over ``Graph.cuts`` and the
-mixer as in-place slice updates. ``execute`` gets it with the built
-circuit as a ``Prepared``; only gate-noise trajectories evolve the circuit.
+mixer as in-place slice updates. On a backend without gate noise
+``execute`` gets that vector as a ``Prepared`` with the circuit's measured
+lines alone, so no circuit is built; on a gate-noise backend it gets the
+built circuit of each evaluation, whose gates the trajectories evolve.
 """
 from __future__ import annotations
 
@@ -253,15 +255,18 @@ class _Objective:
         self.trace: list[float] = []
         self.best_value = -math.inf
         self.best_params: QaoaParams | None = None
+        # the measured lines of build_qaoa_circuit: qubit q into clbit q
+        self.lines = tuple((q, q) for q in reversed(range(graph.n)))
 
     def __call__(self, x) -> float:
         if self.evals >= self.budget:
             raise _BudgetExhausted
         params = QaoaParams.from_vector(x)
-        # the circuit gives execute its measured lines and gate-noise
-        # trajectories; the noise-free vector comes without evolving it
-        circuit = build_qaoa_circuit(self.graph, params)
-        prepared = Prepared(circuit, probabilities(self.graph, params))
+        vector = probabilities(self.graph, params)
+        if self.backend.gate_depolarizing > 0.0:  # trajectories run its gates
+            prepared = Prepared(build_qaoa_circuit(self.graph, params), vector)
+        else:
+            prepared = Prepared(None, vector, self.lines)
         counts = execute(
             self.backend,
             prepared,

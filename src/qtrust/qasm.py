@@ -155,6 +155,8 @@ class _Parser:
         self.gatedefs: dict[str, _GateDef] = {}
         self.instructions: list[Instruction] = []
         self.calls = 0  # expansion calls so far that built nothing
+        self.measured: set[int] = set()  # qubits measured so far
+        self.written: set[int] = set()  # clbits written so far
 
     # --- token plumbing -------------------------------------------------
 
@@ -403,9 +405,15 @@ class _Parser:
                 f"{MAX_INSTRUCTIONS}-call guard"
             )
         self.calls = total_calls
+        start = len(self.instructions)
         for i in range(repeats):
             qubits = [bits[i] if bare else bits[0] for bits, bare, _ in args]
             self._emit_call(name.text, params, qubits, name.line, depth=0)
+        if self.measured and any(  # measure-last, checked as Circuit does
+            not self.measured.isdisjoint(instr.qubits)
+            for instr in self.instructions[start:]
+        ):
+            raise QasmError("gate after measurement is unsupported", name.line)
 
     def _cost(self, name: str) -> tuple[int, int]:
         """(instructions built, calls that build nothing) of one call of
@@ -459,6 +467,12 @@ class _Parser:
         if len(qubits) != len(clbits):
             raise QasmSyntaxError("measure register sizes differ", line)
         for q, c in zip(qubits, clbits):
+            if q in self.measured or c in self.written:
+                raise QasmError(
+                    "measurements must map distinct qubits to distinct clbits", line
+                )
+            self.measured.add(q)
+            self.written.add(c)
             self.instructions.append(Instruction(GateKind.MEASURE, (q,), clbit=c))
 
     def circuit(self, name: str = "") -> Circuit:

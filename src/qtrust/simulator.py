@@ -5,14 +5,18 @@ Every stage reads the fields of one ``BackendModel`` (readout pairs,
 gate_depolarizing, drift, tamper) and a ``Prepared`` circuit. ``prepare``
 is the one stage that takes a plain circuit and the one place that evolves
 its noise-free vector; the QAOA objective builds its ``Prepared`` from
-``qaoa.probabilities`` instead. A ``Circuit`` measures each qubit after its
-last gate, so ``_evolve`` runs ``circuit.gates`` on one state array and one
-gather buffer (X, CX, SWAP and CCX swap two slices in place, any other gate
-is one ``matmul``) and then sums out the unmeasured qubits. Gate noise
+``qaoa.probabilities`` instead, with no circuit on a backend without gate
+noise. A ``Circuit`` measures each qubit after its last gate, so
+``_evolve`` runs ``circuit.gates`` on one state array and one gather buffer
+(X, CX, SWAP and CCX swap two slices in place, any other gate is one
+stacked ``matmul``) and then sums out the unmeasured qubits. Gate noise
 evolves each distinct Pauli error pattern of a run once (Monte-Carlo
 wavefunction trajectories weighted by how often each pattern was drawn);
 one ``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
-The resulting vector, indexed by the integer outcome, runs through readout
+The patterns run in batches, one state per pattern along a leading axis of
+the state array, so the Python cost of a gate is paid once per batch; a
+Pauli error is a slice operation on its pattern's block, and ``prepare``
+is a batch of one. The resulting vector, indexed by the integer outcome, runs through readout
 and tamper flips (both ``adversary.flip_channel``) to the multinomial
 draw; every result is a ``metrics.Counts``. Keys follow the q_{n-1}...q_0
 convention; line 0 is the rightmost character.
@@ -20,6 +24,7 @@ convention; line 0 is the rightmost character.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +57,18 @@ def _apply(
     state: np.ndarray,
     buffer: np.ndarray,
 ) -> np.ndarray:
-    """Apply one gate on ``axes`` of ``psi``, the ``(2,)*n`` qubit-axis view
-    of the flat ``state``; returns the view of ``state`` after the gate.
+    """Apply one gate on ``axes`` of ``psi``, the ``(B,) + (2,)*n`` view of
+    the flat ``state`` holding B states along axis 0; returns the view of
+    ``state`` after the gate.
 
     A permutation gate swaps the two slices of ``psi`` it exchanges, in
     place and with no arithmetic, holding one in ``buffer``, and returns
-    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with ``axes``
-    first and writes one ``matmul`` of its 2^k x 2^k matrix against it into
-    ``state``, so the state's memory order changes and the returned view
-    follows it.
+    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with axis 0
+    first and ``axes`` next and writes one stacked ``matmul`` of its
+    2^k x 2^k matrix into ``state``, so the state's memory order changes
+    and the returned view follows it. Each state gets the BLAS call it
+    would get alone (one wide product rounds differently when a state is
+    1 or 2 columns wide).
     """
     swap = _SWAPS.get(kind)
     if swap is not None:
@@ -73,11 +81,12 @@ def _apply(
         psi[a] = psi[b]
         psi[b] = held
         return psi
-    k = len(axes)
-    order = axes + [axis for axis in range(psi.ndim) if axis not in axes]
+    k, batch = len(axes), len(psi)
+    order = [0] + axes + [axis for axis in range(1, psi.ndim) if axis not in axes]
     np.copyto(buffer.reshape(psi.shape), psi.transpose(order))
     gate = matrix(kind, params)
-    np.matmul(gate, buffer.reshape(2**k, -1), out=state.reshape(2**k, -1))
+    blocks = (batch, 2**k, -1)
+    np.matmul(gate, buffer.reshape(blocks), out=state.reshape(blocks))
     return state.reshape(psi.shape).transpose(np.argsort(order))
 
 
@@ -91,17 +100,26 @@ Pattern = tuple[tuple[int, tuple[tuple[int, GateKind], ...]], ...]
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """A circuit with its noise-free measured-bit vector (read-only).
+    """A noise-free measured-bit vector ``ideal`` (read-only) and the
+    ``measured_pairs`` it is indexed by, as in ``Circuit.measured_pairs``.
 
-    Build it with ``prepare``; every stage that runs the same circuit again
-    reads ``ideal`` instead of evolving the statevector.
+    ``prepare(circuit)`` evolves ``ideal`` and keeps ``circuit``, whose
+    gates only gate-noise trajectories run again. A vector computed another
+    way comes as ``Prepared(circuit, vector)``, or, for a backend without
+    gate noise, as ``Prepared(None, vector, measured_pairs)`` with no
+    circuit at all; gate-noise trajectories refuse that form.
     """
 
-    circuit: Circuit
+    circuit: Circuit | None
     ideal: np.ndarray
+    measured_pairs: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        width = self.circuit.num_measured
+        if (self.circuit is None) == (self.measured_pairs is None):
+            raise CircuitError("give a circuit or, without one, its measured lines")
+        if self.circuit is not None:
+            object.__setattr__(self, "measured_pairs", self.circuit.measured_pairs)
+        width = len(self.measured_pairs)
         if self.ideal.size != 1 << width:
             raise CircuitError(
                 f"{self.ideal.size}-entry ideal vector for {width} measured bits"
@@ -110,38 +128,66 @@ class Prepared:
         self.ideal.flags.writeable = False
 
 
-def _evolve(circuit: Circuit, errors: Errors | None = None) -> np.ndarray:
-    """Run all gates, applying the Paulis in ``errors`` right after their
-    gate. Returns the probability vector of the measured bits, indexed by
-    the integer value of their bitstring."""
+def _pauli(psi: np.ndarray, kind: GateKind, axis: int, buffer: np.ndarray) -> None:
+    """Apply the Pauli ``kind`` on ``axis`` of ``psi`` in place, as slice
+    operations: X swaps the two slices, Z negates the second, and Y swaps
+    them times -i and i. Every product is exact, so the values equal the
+    matrix's up to the sign of zero."""
+    low = psi[(slice(None),) * axis + (0,)]
+    high = psi[(slice(None),) * axis + (1,)]
+    if kind is GateKind.Z:
+        np.negative(high, out=high)
+        return
+    held = buffer[: low.size].reshape(low.shape)
+    np.copyto(held, low)
+    if kind is GateKind.X:
+        np.copyto(low, high)
+        np.copyto(high, held)
+    else:  # Y = [[0, -i], [i, 0]]
+        np.multiply(high, -1j, out=low)
+        np.multiply(held, 1j, out=high)
+
+
+def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray:
+    """Run all gates once per error pattern, the patterns together as one
+    state array with a leading batch axis; each pattern's Paulis act on its
+    own block right after their gate. Row t of the result is pattern t's
+    probability vector of the measured bits, indexed by the integer value
+    of their bitstring."""
     pairs = circuit.measured_pairs
     if not pairs:
         raise CircuitError("circuit has no measurements")
-    errors = errors or {}
-    n = circuit.num_qubits
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
+    n, batch = circuit.num_qubits, len(patterns)
+    hits: dict[int, list[tuple[int, int, GateKind]]] = {}  # index -> (t, q, Pauli)
+    for t, pattern in enumerate(patterns):
+        for index, errors in pattern:
+            hits.setdefault(index, []).extend((t, q, kind) for q, kind in errors)
+    state = np.zeros(batch << n, dtype=complex)
+    state[:: 1 << n] = 1.0  # |0...0> in every trajectory
     buffer = np.empty_like(state)
-    psi = state.reshape((2,) * n)
+    psi = state.reshape((batch,) + (2,) * n)  # qubit q is axis n - q
     for index, instr in circuit.gates:
-        axes = [n - 1 - q for q in instr.qubits]
+        axes = [n - q for q in instr.qubits]
         psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
-        for q, kind in errors.get(index, ()):
-            psi = _apply(psi, kind, (), [n - 1 - q], state, buffer)
+        for t, q, kind in hits.get(index, ()):
+            _pauli(psi[t : t + 1], kind, n - q, buffer)
         if __debug__:
             norm = np.vdot(state, state).real
-            assert abs(norm - 1.0) < 1e-10, f"norm drifted to {norm}"
+            assert abs(norm - batch) < 1e-10 * batch, f"norm drifted to {norm}"
     del buffer  # the probabilities below need the room
     probs = np.abs(psi) ** 2
-    front = [n - 1 - q for q, _ in pairs]  # output order, clbit descending
-    rest = [a for a in range(n) if a not in front]
-    return np.transpose(probs, front + rest).reshape(2 ** len(front), -1).sum(axis=1)
+    front = [n - q for q, _ in pairs]  # output order, clbit descending
+    rest = [a for a in range(1, n + 1) if a not in front]
+    # each block keeps the memory order a batch of one has, so each row
+    # sums its unmeasured qubits in the same order
+    probs = np.transpose(probs, [0] + front + rest)
+    return probs.reshape(batch, 2 ** len(front), -1).sum(axis=2)
 
 
 def prepare(circuit: Circuit) -> Prepared:
-    """Evolve the noise-free vector of ``circuit`` once; its exact outcome
-    distribution is ``Counts(prepare(circuit).ideal)``."""
-    return Prepared(circuit, _evolve(circuit))
+    """Evolve the noise-free vector of ``circuit`` once, as a batch of one;
+    its exact outcome distribution is ``Counts(prepare(circuit).ideal)``."""
+    return Prepared(circuit, _evolve(circuit)[0])
 
 
 _CHUNK = 1 << 16  # doubles per read; bounds the memory held, not the stream
@@ -172,15 +218,36 @@ def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pat
     return patterns
 
 
+# Amplitudes per batched evolve. OpenBLAS splits a dot product over more
+# than 10 000 entries across threads, and then the per-gate norm check
+# slowed every gate: multiply_n13 took 1.6-1.8 ms per pattern two at a time
+# against 1.15 ms alone. At 2^13 adder_n10 runs 8 patterns per evolve, at
+# 0.09-0.14 ms each against 0.31-0.55 ms alone; from 13 qubits on, each
+# pattern runs alone.
+_BATCH_AMPLITUDES = 1 << 13
+
+
 def _trajectory_vector(
     prepared: Prepared, depolarizing: float, trajectories: int, rng
 ) -> np.ndarray:
     """Mean of ``trajectories`` Pauli trajectories, evolving each distinct
-    error pattern once and weighting it by how often it was drawn."""
-    drawn = Counter(_draw_errors(prepared.circuit, depolarizing, rng, trajectories))
+    error pattern once, ``_BATCH_AMPLITUDES >> n`` (at least one) per
+    ``_evolve``, and weighting it by how often it was drawn; both in
+    first-drawn order."""
+    circuit = prepared.circuit
+    if circuit is None:
+        raise CircuitError("gate noise needs the circuit's gates")
+    drawn = Counter(_draw_errors(circuit, depolarizing, rng, trajectories))
+    noisy = [pattern for pattern in drawn if pattern]
+    size = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
+    batches = (noisy[first : first + size] for first in range(0, len(noisy), size))
+    vectors: dict[Pattern, np.ndarray] = {}  # the current batch's rows
     acc = 0.0
     for pattern, count in drawn.items():  # first-drawn order
-        vec = _evolve(prepared.circuit, dict(pattern)) if pattern else prepared.ideal
+        if pattern and pattern not in vectors:
+            batch = next(batches)
+            vectors = dict(zip(batch, _evolve(circuit, batch)))
+        vec = vectors[pattern] if pattern else prepared.ideal
         acc += (count / trajectories) * vec
     return acc
 
@@ -196,14 +263,14 @@ def sample_counts(dist: Counts, shots: int, seed: int) -> Counts:
     return Counts(derive_rng(seed).multinomial(shots, probs / mass))
 
 
-def _line_pairs(backend: BackendModel, circuit: Circuit) -> list[ReadoutPair]:
-    ordered = circuit.measured_pairs  # clbit descending = left to right
+def _line_pairs(backend: BackendModel, prepared: Prepared) -> list[ReadoutPair]:
+    ordered = prepared.measured_pairs  # clbit descending = left to right
     return [backend.pair_for(q) for q, _ in reversed(ordered)]
 
 
 def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
     """Analytic post-readout distribution without drift or tampering."""
-    pairs = dict(enumerate(_line_pairs(backend, prepared.circuit)))
+    pairs = dict(enumerate(_line_pairs(backend, prepared)))
     return Counts(flip_channel(prepared.ideal, pairs))
 
 
@@ -218,7 +285,7 @@ def resolve_tamper(
     spec = backend.tamper
     if spec is None or not spec.needs_resolution:
         return backend
-    width = prepared.circuit.num_measured
+    width = len(prepared.measured_pairs)
     if spec.mode is TamperMode.TARGETED:
         private = sample_counts(
             clean_distribution(backend, prepared),
@@ -243,7 +310,7 @@ def execute(
         probs = _trajectory_vector(prepared, backend.gate_depolarizing, shots, rng)
     else:
         probs = prepared.ideal
-    pairs = _line_pairs(backend, prepared.circuit)
+    pairs = _line_pairs(backend, prepared)
     if backend.drift > 0.0:
         rng = derive_rng(seed, backend.name, "drift")
         pairs = np.array(pairs)

@@ -897,6 +897,7 @@ BAD_QASM = {
     "duplicate_barrier": "qreg q[2]; creg c[2]; barrier q,q[0]; measure q -> c;",
     "too_wide": "qreg q[30]; creg c[1]; measure q[0] -> c[0];",
     "gate_after_measure": "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];",
+    "measured_twice": "qreg q[1]; creg c[2]; measure q[0] -> c[0]; measure q[0] -> c[1];",
     "division_by_zero": "qreg q[1]; creg c[1]; rx(1/0) q[0]; measure q -> c;",
     "infinite_angle": "qreg q[1]; creg c[1]; rx(1e400) q[0]; measure q -> c;",
     "unclosed_params": "qreg q[1]; creg c[1]; x(",
@@ -920,6 +921,19 @@ def test_cli_parse_bad_qasm_exits_1(tmp_path, capsys, source):
     path.write_text(source)
     assert main(["parse", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize("name", ["gate_after_measure", "measured_twice"])
+def test_cli_measurement_errors_name_their_line(tmp_path, capsys, name):
+    path = tmp_path / "t.qasm"
+    path.write_text(BAD_QASM[name])
+    assert main(["parse", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 1: ")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(workload={"qasm": "t.qasm"})))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: /workload/qasm: {path}: line 1: ")
 
 
 def test_cli_seed_override(tmp_path):

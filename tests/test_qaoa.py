@@ -236,7 +236,7 @@ def qaoa_cases(draw):
 def test_probabilities_match_the_evolved_circuit(case):
     graph, params = case
     got = qaoa.probabilities(graph, params)
-    want = simulator._evolve(build_qaoa_circuit(graph, params))
+    want = prepare(build_qaoa_circuit(graph, params)).ideal
     assert got.shape == want.shape == graph.cuts.shape
     assert np.abs(got - want).max() <= 1e-12
     assert abs(got.sum() - 1.0) <= 1e-12
@@ -288,15 +288,31 @@ def _count_evolves(monkeypatch) -> list[int]:
 
 def test_optimize_evolves_no_gates_without_gate_noise(monkeypatch):
     calls = _count_evolves(monkeypatch)
+    builds = [0]
+    build = qaoa.build_qaoa_circuit
+
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(qaoa, "build_qaoa_circuit", counting_build)
     rogue = TamperSpec(TamperMode.RANDOM_ALL, 0.3)
     backend = BackendModel("hw", readout=(0.02, 0.02), drift=0.01, tamper=rogue)
     record = optimize(backend, c4(), iterations=12, seed=3)
     assert len(record.trace) == 12
-    assert calls == [0]
-    # gate-noise trajectories still evolve the built circuit
+    assert calls == [0] and builds == [0]  # nor builds a circuit
+    # gate-noise trajectories still evolve the built circuit of every evaluation
     noisy = BackendModel("noisy", gate_depolarizing=0.05)
     optimize(noisy, c4(), iterations=3, seed=3)
-    assert calls[0] > 0
+    assert calls[0] > 0 and builds == [3]
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_objective_lines_are_the_built_circuits(n):
+    graph = Graph.from_edges(n, [(0, n - 1)])
+    objective = qaoa._Objective(BackendModel("hw"), graph, 1, 10, 0, 1)
+    built = build_qaoa_circuit(graph, QaoaParams((0.3,), (0.7,)))
+    assert objective.lines == built.measured_pairs
 
 
 _RECORD_BACKENDS = (

@@ -328,6 +328,54 @@ def test_every_error_carries_its_line():
         assert str(err.value).startswith(f"line {line}: ")
 
 
+MEASURE_ERRORS = {
+    "gate_after_measure": (
+        "qreg q[1]; creg c[1];\nmeasure q[0] -> c[0];\nh q[0];",
+        3,
+        "gate after measurement is unsupported",
+    ),
+    "macro_after_measure": (
+        "gate g a, b { h b; }\nqreg q[2]; creg c[2];\nmeasure q[1] -> c[1];\n"
+        "h q[0];\ng q[0], q[1];",
+        5,
+        "gate after measurement is unsupported",
+    ),
+    "qubit_measured_twice": (
+        "qreg q[1]; creg c[2];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[1];",
+        3,
+        "measurements must map distinct qubits to distinct clbits",
+    ),
+    "clbit_written_twice": (
+        "qreg q[2]; creg c[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[0];",
+        3,
+        "measurements must map distinct qubits to distinct clbits",
+    ),
+    "register_measured_twice": (
+        "qreg q[2]; creg c[2]; creg d[2];\nmeasure q -> c;\nmeasure q -> d;",
+        3,
+        "measurements must map distinct qubits to distinct clbits",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, line, message", MEASURE_ERRORS.values(), ids=list(MEASURE_ERRORS)
+)
+def test_measurement_errors_carry_their_line(source, line, message):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(source)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_gates_and_barriers_after_another_qubit_is_measured():
+    source = (
+        "qreg q[2]; creg c[2]; measure q[0] -> c[0]; barrier q; h q[1];"
+        " measure q[1] -> c[1];"
+    )
+    assert parse_qasm(source).measured_pairs == ((1, 1), (0, 0))
+
+
 def test_register_capacity_checked_at_declaration():
     # raised at the declaration, before the unknown gate that follows it
     with pytest.raises(CapacityExceeded, match="25 qubits exceeds the 24-qubit"):

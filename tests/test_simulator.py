@@ -298,12 +298,13 @@ def test_per_qubit_readout_pairs():
 
 
 def _count_evolves(monkeypatch) -> list[int]:
+    """Counts the error patterns ``_evolve`` runs; ``prepare`` runs one."""
     calls = [0]
     original = simulator._evolve
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counting(circuit, patterns=((),)):
+        calls[0] += len(patterns)
+        return original(circuit, patterns)
 
     monkeypatch.setattr(simulator, "_evolve", counting)
     return calls
@@ -350,6 +351,33 @@ def test_prepared_rejects_an_ideal_of_another_width():
     with pytest.raises(CircuitError, match="^8-entry ideal vector for 2 measured bits$"):
         Prepared(bell, np.full(8, 1 / 8))
     assert Prepared(bell, prepare(bell).ideal.copy()).ideal.size == 4
+
+
+def test_prepared_without_a_circuit_carries_its_measured_lines():
+    # the restated form: a vector and its measured lines, for backends
+    # without gate noise; it runs as the same vector with its circuit does
+    b = CircuitBuilder(2, 2)
+    b.gate(GateKind.X, 0)
+    b.measure(0, 1)
+    b.measure(1, 0)
+    with_circuit = prepare(b.build())
+    lines = with_circuit.circuit.measured_pairs
+    assert with_circuit.measured_pairs == lines == ((0, 1), (1, 0))
+    bare = Prepared(None, with_circuit.ideal.copy(), lines)
+    backend = BackendModel(
+        "hw", readout=((0.01, 0.02), (0.05, 0.1)), drift=0.01,
+        tamper=TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=1),
+    )
+    assert execute(backend, bare, 500, seed=3) == execute(
+        backend, with_circuit, 500, seed=3
+    )
+    with pytest.raises(CircuitError, match="^gate noise needs the circuit's gates$"):
+        execute(BackendModel("noisy", gate_depolarizing=0.01), bare, 10, seed=3)
+    for args in [(None, bare.ideal), (b.build(), bare.ideal, lines)]:
+        with pytest.raises(CircuitError, match="circuit or, without one"):
+            Prepared(*args)
+    with pytest.raises(CircuitError, match="^8-entry ideal vector for 2 measured"):
+        Prepared(None, np.full(8, 1 / 8), lines)
 
 
 def test_trajectory_mixture_replays_the_per_shot_stream():
@@ -436,18 +464,18 @@ def test_in_place_kernel_matches_tensordot_oracle(case):
     want /= np.linalg.norm(want)
     state = want.reshape(-1).copy()
     buffer = np.empty_like(state)
-    psi = state.reshape(want.shape)
+    psi = state.reshape((1,) + want.shape)  # a batch of one state
     exact = True
     for kind, params, qubits in gates:
         axes = [n - 1 - q for q in qubits]
         want = tensordot_apply(want, reference_matrix(kind.value, params), axes)
-        psi = simulator._apply(psi, kind, params, axes, state, buffer)
+        psi = simulator._apply(psi, kind, params, [a + 1 for a in axes], state, buffer)
         assert np.shares_memory(psi, state)
         exact = exact and kind in _PERMUTATION_KINDS
         if exact:
-            assert np.array_equal(psi, want)
+            assert np.array_equal(psi[0], want)
         else:
-            assert np.max(np.abs(psi - want)) <= 1e-12
+            assert np.max(np.abs(psi[0] - want)) <= 1e-12
 
 
 def test_permutation_gates_read_no_matrix(monkeypatch):
@@ -475,6 +503,98 @@ def test_norm_check_catches_a_non_unitary_gate(monkeypatch, scale):
     monkeypatch.setattr(simulator, "matrix", scaled_h)
     with pytest.raises(AssertionError, match="norm drifted"):
         simulator._evolve(_bell())
+
+
+# --- batched trajectories -----------------------------------------------------
+
+_PAULI_OR_NONE = st.sampled_from([None, None, None, GateKind.X, GateKind.Y, GateKind.Z])
+
+
+@st.composite
+def batch_cases(draw):
+    """A circuit on n <= 8 qubits over every gate kind, measuring a random
+    subset into random clbits, and one to twelve Pauli error patterns on
+    its gates (empty and repeated patterns included)."""
+    n = draw(st.integers(1, 8))
+    kinds = [kind for kind in _UNITARY_KINDS if kind.arity <= n]
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    b = CircuitBuilder(n, n)
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))[: kind.arity]
+        b.gate(kind, *qubits, params=[draw(angle) for _ in range(kind.num_params)])
+    measured = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    for q, clbit in zip(measured, draw(st.permutations(range(n)))):
+        b.measure(q, clbit)
+    circuit = b.build()
+    patterns = []
+    for _ in range(draw(st.integers(1, 12))):
+        pattern = []
+        for index, instr in circuit.gates:
+            hits = [(q, draw(_PAULI_OR_NONE)) for q in instr.qubits]
+            hits = tuple((q, kind) for q, kind in hits if kind is not None)
+            if hits:
+                pattern.append((index, hits))
+        patterns.append(tuple(pattern))
+    return circuit, patterns
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batched_evolve_equals_one_pattern_at_a_time(case):
+    circuit, patterns = case
+    batched = simulator._evolve(circuit, patterns)
+    assert batched.shape == (len(patterns), 2**circuit.num_measured)
+    for row, pattern in zip(batched, patterns):
+        alone = simulator._evolve(circuit, [pattern])[0]
+        assert row.tobytes() == alone.tobytes()  # bitwise, not close
+
+
+def test_norm_check_covers_every_trajectory_of_a_batch(monkeypatch):
+    # a Pauli that scales the third trajectory's block by 1 + 1e-9 trips
+    # the check on the batch's total mass of 3
+    real = simulator._pauli
+
+    def scaled(psi, kind, axis, buffer):
+        real(psi, kind, axis, buffer)
+        psi *= 1.0 + 1e-9
+
+    monkeypatch.setattr(simulator, "_pauli", scaled)
+    b = CircuitBuilder(2)
+    b.gate(GateKind.H, 0)
+    b.gate(GateKind.CX, 0, 1)
+    b.measure_all()
+    patterns = [(), (), ((1, ((0, GateKind.Z),)),)]
+    with pytest.raises(AssertionError, match="norm drifted"):
+        simulator._evolve(b.build(), patterns)
+
+
+@pytest.mark.parametrize("amplitudes", [1, 1 << 5, 1 << 10])
+def test_trajectory_chunks_do_not_move_the_vector(monkeypatch, amplitudes):
+    # adder_n4 has 4 qubits: chunks of 1, 2 and 64 patterns against all at once
+    prepared = prepare(builtin("adder_n4").circuit)
+    p, shots = 0.05, 400
+
+    def vector(cap):
+        monkeypatch.setattr(simulator, "_BATCH_AMPLITUDES", cap)
+        calls = []
+        original = simulator._evolve
+
+        def recording(circuit, patterns=((),)):
+            calls.append(len(patterns))
+            return original(circuit, patterns)
+
+        monkeypatch.setattr(simulator, "_evolve", recording)
+        got = _trajectory_vector(prepared, p, shots, np.random.default_rng(5))
+        monkeypatch.setattr(simulator, "_evolve", original)
+        return got, calls
+
+    whole, calls = vector(1 << 30)
+    assert len(calls) == 1 and calls[0] > 64  # every distinct pattern at once
+    chunked, chunks = vector(amplitudes)
+    assert sum(chunks) == calls[0] and len(chunks) > 1
+    assert max(chunks) == max(1, amplitudes >> 4)
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def _as_names(pattern):
