@@ -94,6 +94,23 @@ class Instruction:
             raise CircuitError(f"{self.kind.value} cannot carry a classical bit")
 
 
+def check_measure_rules(instr: Instruction, measured: set, written: set) -> None:
+    """Check ``instr``, following instructions that measured the qubits
+    ``measured`` into the clbits ``written``, against the measure-last rule
+    and the distinct measure map; a measurement joins both sets."""
+    if instr.kind is GateKind.MEASURE:
+        if instr.qubits[0] in measured or instr.clbit in written:
+            raise CircuitError(
+                "measurements must map distinct qubits to distinct clbits"
+            )
+        measured.add(instr.qubits[0])
+        written.add(instr.clbit)
+    elif measured and not measured.isdisjoint(instr.qubits):
+        # no set work until a qubit is measured
+        if instr.kind is not GateKind.BARRIER:
+            raise CircuitError("gate after measurement is unsupported")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Immutable instruction list; no gate may act on a measured qubit."""
@@ -112,7 +129,7 @@ class Circuit:
             )
         if self.num_clbits < 0:
             raise CircuitError("negative classical bit count")
-        seen_q, seen_c = set(), set()
+        measured, written = set(), set()
         for instr in self.instructions:
             for q in instr.qubits:
                 if not 0 <= q < self.num_qubits:
@@ -120,17 +137,7 @@ class Circuit:
             if instr.kind is GateKind.MEASURE:
                 if not 0 <= instr.clbit < self.num_clbits:
                     raise CircuitError(f"clbit index {instr.clbit} out of range")
-                q = instr.qubits[0]
-                if q in seen_q or instr.clbit in seen_c:
-                    raise CircuitError(
-                        "measurements must map distinct qubits to distinct clbits"
-                    )
-                seen_q.add(q)
-                seen_c.add(instr.clbit)
-            elif seen_q and not seen_q.isdisjoint(instr.qubits):
-                # measure-last rule; no set work until a qubit is measured
-                if instr.kind is not GateKind.BARRIER:
-                    raise CircuitError("gate after measurement is unsupported")
+            check_measure_rules(instr, measured, written)
 
     @cached_property
     def measured_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -58,16 +58,11 @@ def _ordered_sum(values):
     """``values`` (an array or a sequence) added strictly left to right, as
     ``acc = acc + x`` does, so records keep their bits on every Python:
     numpy's ``.sum()`` adds pairwise, and since 3.12 Python's ``sum``
-    compensates float rounding (CPython gh-100425). A short integer array
-    (shot counts) takes Python's ``sum``, exact in any order and faster."""
+    compensates float rounding (CPython gh-100425)."""
     if len(values) >= _LOOP_BELOW:
         return np.add.accumulate(values).item(-1)  # sequential too
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "iu":
-            return sum(values.tolist())
-        values = values.tolist()
     acc = 0
-    for x in values:
+    for x in values.tolist() if isinstance(values, np.ndarray) else values:
         acc = acc + x
     return acc
 

@@ -7,8 +7,9 @@ An objective evaluation evolves no gates for its noise-free vector:
 directly, the cost layer as one phase multiply over ``Graph.cuts`` and the
 mixer as in-place slice updates. On a backend without gate noise
 ``execute`` gets that vector as a ``Prepared`` with the circuit's measured
-lines alone, so no circuit is built; on a gate-noise backend it gets the
-built circuit of each evaluation, whose gates the trajectories evolve.
+lines alone, read once per ``optimize`` from a circuit of no layers; on a
+gate-noise backend it gets the built circuit of each evaluation, whose
+gates the trajectories evolve.
 """
 from __future__ import annotations
 
@@ -255,8 +256,8 @@ class _Objective:
         self.trace: list[float] = []
         self.best_value = -math.inf
         self.best_params: QaoaParams | None = None
-        # the measured lines of build_qaoa_circuit: qubit q into clbit q
-        self.lines = tuple((q, q) for q in reversed(range(graph.n)))
+        # the measured lines, the same at every depth and angle
+        self.lines = build_qaoa_circuit(graph, QaoaParams((), ())).measured_pairs
 
     def __call__(self, x) -> float:
         if self.evals >= self.budget:

@@ -13,7 +13,15 @@ import operator
 import re
 from typing import NamedTuple
 
-from .circuit import MAX_QUBITS, CapacityExceeded, Circuit, GateKind, Instruction
+from .circuit import (
+    MAX_QUBITS,
+    CapacityExceeded,
+    Circuit,
+    CircuitError,
+    GateKind,
+    Instruction,
+    check_measure_rules,
+)
 
 # a gate's QASM name is its GateKind value, plus the U/u and CX spellings
 _PRIMITIVES = {
@@ -409,11 +417,9 @@ class _Parser:
         for i in range(repeats):
             qubits = [bits[i] if bare else bits[0] for bits, bare, _ in args]
             self._emit_call(name.text, params, qubits, name.line, depth=0)
-        if self.measured and any(  # measure-last, checked as Circuit does
-            not self.measured.isdisjoint(instr.qubits)
-            for instr in self.instructions[start:]
-        ):
-            raise QasmError("gate after measurement is unsupported", name.line)
+        if self.measured:  # the rules have nothing to check before then
+            for instr in self.instructions[start:]:
+                self._check_measure_rules(instr, name.line)
 
     def _cost(self, name: str) -> tuple[int, int]:
         """(instructions built, calls that build nothing) of one call of
@@ -467,13 +473,17 @@ class _Parser:
         if len(qubits) != len(clbits):
             raise QasmSyntaxError("measure register sizes differ", line)
         for q, c in zip(qubits, clbits):
-            if q in self.measured or c in self.written:
-                raise QasmError(
-                    "measurements must map distinct qubits to distinct clbits", line
-                )
-            self.measured.add(q)
-            self.written.add(c)
-            self.instructions.append(Instruction(GateKind.MEASURE, (q,), clbit=c))
+            instr = Instruction(GateKind.MEASURE, (q,), clbit=c)
+            self._check_measure_rules(instr, line)
+            self.instructions.append(instr)
+
+    def _check_measure_rules(self, instr: Instruction, line: int) -> None:
+        """``circuit.check_measure_rules`` as the instruction is emitted, so
+        the error names its line."""
+        try:
+            check_measure_rules(instr, self.measured, self.written)
+        except CircuitError as err:
+            raise QasmError(str(err), line) from None
 
     def circuit(self, name: str = "") -> Circuit:
         num_qubits = sum(s for _, s in self.qregs.values())

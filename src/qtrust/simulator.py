@@ -5,27 +5,25 @@ Every stage reads the fields of one ``BackendModel`` (readout pairs,
 gate_depolarizing, drift, tamper) and a ``Prepared`` circuit. ``prepare``
 is the one stage that takes a plain circuit and the one place that evolves
 its noise-free vector; the QAOA objective builds its ``Prepared`` from
-``qaoa.probabilities`` instead, with no circuit on a backend without gate
-noise. A ``Circuit`` measures each qubit after its last gate, so
-``_evolve`` runs ``circuit.gates`` on one state array and one gather buffer
-(X, CX, SWAP and CCX swap two slices in place, any other gate is one
-stacked ``matmul``) and then sums out the unmeasured qubits. Gate noise
+``qaoa.probabilities`` instead. A ``Circuit`` measures each qubit after its
+last gate, so ``_evolve`` runs ``circuit.gates`` on one state array and one
+gather buffer (X, CX, SWAP and CCX swap two slices in place, any other gate
+is one ``matmul``) and then sums out the unmeasured qubits. Gate noise
 evolves each distinct Pauli error pattern of a run once (Monte-Carlo
-wavefunction trajectories weighted by how often each pattern was drawn);
-one ``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
-The patterns run in batches, one state per pattern along a leading axis of
-the state array, so the Python cost of a gate is paid once per batch; a
-Pauli error is a slice operation on its pattern's block, and ``prepare``
-is a batch of one. The resulting vector, indexed by the integer outcome, runs through readout
-and tamper flips (both ``adversary.flip_channel``) to the multinomial
-draw; every result is a ``metrics.Counts``. Keys follow the q_{n-1}...q_0
-convention; line 0 is the rightmost character.
+wavefunction trajectories weighted by how often each pattern was drawn),
+many per ``_evolve`` along a leading batch axis; one ``random()`` per
+(trajectory, gate, qubit) picks the hit and its Pauli. The resulting
+vector, indexed by the integer outcome, runs through readout and tamper
+flips (both ``adversary.flip_channel``) to the multinomial draw; every
+result is a ``metrics.Counts``. Keys follow the q_{n-1}...q_0 convention;
+line 0 is the rightmost character.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,17 +56,14 @@ def _apply(
     buffer: np.ndarray,
 ) -> np.ndarray:
     """Apply one gate on ``axes`` of ``psi``, the ``(B,) + (2,)*n`` view of
-    the flat ``state`` holding B states along axis 0; returns the view of
-    ``state`` after the gate.
+    B states in the flat ``state``; returns the view of ``state`` after it.
 
     A permutation gate swaps the two slices of ``psi`` it exchanges, in
     place and with no arithmetic, holding one in ``buffer``, and returns
-    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with axis 0
-    first and ``axes`` next and writes one stacked ``matmul`` of its
-    2^k x 2^k matrix into ``state``, so the state's memory order changes
-    and the returned view follows it. Each state gets the BLAS call it
-    would get alone (one wide product rounds differently when a state is
-    1 or 2 columns wide).
+    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with ``axes``
+    first in each state and writes one ``matmul`` of its 2^k x 2^k matrix
+    per state (the BLAS call it gets alone) into ``state``, so the state's
+    memory order changes and the returned view follows it.
     """
     swap = _SWAPS.get(kind)
     if swap is not None:
@@ -100,14 +95,12 @@ Pattern = tuple[tuple[int, tuple[tuple[int, GateKind], ...]], ...]
 
 @dataclass(frozen=True, eq=False)
 class Prepared:
-    """A noise-free measured-bit vector ``ideal`` (read-only) and the
-    ``measured_pairs`` it is indexed by, as in ``Circuit.measured_pairs``.
+    """A noise-free measured-bit vector ``ideal`` (read-only), indexed by
+    ``measured_pairs`` as in ``Circuit.measured_pairs``.
 
-    ``prepare(circuit)`` evolves ``ideal`` and keeps ``circuit``, whose
-    gates only gate-noise trajectories run again. A vector computed another
-    way comes as ``Prepared(circuit, vector)``, or, for a backend without
-    gate noise, as ``Prepared(None, vector, measured_pairs)`` with no
-    circuit at all; gate-noise trajectories refuse that form.
+    ``prepare(circuit)`` evolves it; only gate-noise trajectories run the
+    circuit again. Without gate noise the circuit may be left out, as
+    ``Prepared(None, vector, measured_pairs)``.
     """
 
     circuit: Circuit | None
@@ -128,32 +121,23 @@ class Prepared:
         self.ideal.flags.writeable = False
 
 
-def _pauli(psi: np.ndarray, kind: GateKind, axis: int, buffer: np.ndarray) -> None:
-    """Apply the Pauli ``kind`` on ``axis`` of ``psi`` in place, as slice
-    operations: X swaps the two slices, Z negates the second, and Y swaps
-    them times -i and i. Every product is exact, so the values equal the
-    matrix's up to the sign of zero."""
-    low = psi[(slice(None),) * axis + (0,)]
-    high = psi[(slice(None),) * axis + (1,)]
-    if kind is GateKind.Z:
+def _pauli(psi, kind: GateKind, axis: int, state, buffer) -> None:
+    """Apply the Pauli ``kind`` on ``axis`` of ``psi`` in place, exactly up
+    to the sign of zero: Z negates the second slice, X is ``_apply``'s swap
+    and Y is i times X after Z."""
+    if kind is not GateKind.X:
+        high = psi[(slice(None),) * axis + (1,)]
         np.negative(high, out=high)
-        return
-    held = buffer[: low.size].reshape(low.shape)
-    np.copyto(held, low)
-    if kind is GateKind.X:
-        np.copyto(low, high)
-        np.copyto(high, held)
-    else:  # Y = [[0, -i], [i, 0]]
-        np.multiply(high, -1j, out=low)
-        np.multiply(held, 1j, out=high)
+    if kind is not GateKind.Z:
+        _apply(psi, GateKind.X, (), [axis], state, buffer)
+    if kind is GateKind.Y:
+        np.multiply(psi, 1j, out=psi)
 
 
 def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray:
-    """Run all gates once per error pattern, the patterns together as one
-    state array with a leading batch axis; each pattern's Paulis act on its
-    own block right after their gate. Row t of the result is pattern t's
-    probability vector of the measured bits, indexed by the integer value
-    of their bitstring."""
+    """Run all gates on one state per error pattern, its Paulis right after
+    their gate. Row t is pattern t's probability vector of the measured
+    bits, indexed by the integer value of their bitstring."""
     pairs = circuit.measured_pairs
     if not pairs:
         raise CircuitError("circuit has no measurements")
@@ -166,20 +150,23 @@ def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray
     state[:: 1 << n] = 1.0  # |0...0> in every trajectory
     buffer = np.empty_like(state)
     psi = state.reshape((batch,) + (2,) * n)  # qubit q is axis n - q
+    # the norm check's halves of each (batch-major) state: OpenBLAS keeps a
+    # dot of 2^n doubles on one thread up to 13 qubits, one of 2^(n+1) not
+    halves = state.view(float).reshape(2 * batch, 1, -1)
+    across = halves.transpose(0, 2, 1)
     for index, instr in circuit.gates:
         axes = [n - q for q in instr.qubits]
         psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
         for t, q, kind in hits.get(index, ()):
-            _pauli(psi[t : t + 1], kind, n - q, buffer)
-        if __debug__:
-            norm = np.vdot(state, state).real
-            assert abs(norm - batch) < 1e-10 * batch, f"norm drifted to {norm}"
+            _pauli(psi[t : t + 1], kind, n - q, state, buffer)
+        if __debug__:  # every trajectory's norm
+            norms = np.matmul(halves, across).reshape(batch, 2).sum(1)
+            assert abs(norms - 1.0).max() < 1e-10, f"norm drifted to {norms}"
     del buffer  # the probabilities below need the room
-    probs = np.abs(psi) ** 2
+    probs = np.abs(psi)
+    probs **= 2
     front = [n - q for q, _ in pairs]  # output order, clbit descending
     rest = [a for a in range(1, n + 1) if a not in front]
-    # each block keeps the memory order a batch of one has, so each row
-    # sums its unmeasured qubits in the same order
     probs = np.transpose(probs, [0] + front + rest)
     return probs.reshape(batch, 2 ** len(front), -1).sum(axis=2)
 
@@ -218,13 +205,10 @@ def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pat
     return patterns
 
 
-# Amplitudes per batched evolve. OpenBLAS splits a dot product over more
-# than 10 000 entries across threads, and then the per-gate norm check
-# slowed every gate: multiply_n13 took 1.6-1.8 ms per pattern two at a time
-# against 1.15 ms alone. At 2^13 adder_n10 runs 8 patterns per evolve, at
-# 0.09-0.14 ms each against 0.31-0.55 ms alone; from 13 qubits on, each
-# pattern runs alone.
-_BATCH_AMPLITUDES = 1 << 13
+# Amplitudes per batched evolve: 16 adder_n10 patterns, or 2 multiply_n13
+# ones, which took 510-530 ms at 2 000 shots and p = 0.002 against 640-780
+# ms one at a time. heavy_paths peak RSS rose by under 0.1 MB.
+_BATCH_AMPLITUDES = 1 << 14
 
 
 def _trajectory_vector(
@@ -232,22 +216,20 @@ def _trajectory_vector(
 ) -> np.ndarray:
     """Mean of ``trajectories`` Pauli trajectories, evolving each distinct
     error pattern once, ``_BATCH_AMPLITUDES >> n`` (at least one) per
-    ``_evolve``, and weighting it by how often it was drawn; both in
-    first-drawn order."""
+    ``_evolve``, and weighting it by how often it was drawn."""
     circuit = prepared.circuit
     if circuit is None:
         raise CircuitError("gate noise needs the circuit's gates")
     drawn = Counter(_draw_errors(circuit, depolarizing, rng, trajectories))
     noisy = [pattern for pattern in drawn if pattern]
     size = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
-    batches = (noisy[first : first + size] for first in range(0, len(noisy), size))
-    vectors: dict[Pattern, np.ndarray] = {}  # the current batch's rows
+    rows = chain.from_iterable(  # one batch at a time, in the order of noisy
+        _evolve(circuit, noisy[first : first + size])
+        for first in range(0, len(noisy), size)
+    )
     acc = 0.0
     for pattern, count in drawn.items():  # first-drawn order
-        if pattern and pattern not in vectors:
-            batch = next(batches)
-            vectors = dict(zip(batch, _evolve(circuit, batch)))
-        vec = vectors[pattern] if pattern else prepared.ideal
+        vec = next(rows) if pattern else prepared.ideal
         acc += (count / trajectories) * vec
     return acc
 

@@ -248,18 +248,6 @@ def test_ordered_sum_adds_left_to_right_on_both_branches(values):
     assert _ordered_sum(np.array(counts, dtype=np.int64)) == sum(counts)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
-@pytest.mark.parametrize("size", [0, 1, 16, 31, 32, 33, 1000])
-def test_ordered_sum_of_integers_equals_the_loop(size, dtype):
-    # shot counts and cut values: Python's sum below the loop threshold,
-    # np.add.accumulate from it; integer addition is exact in any order
-    assert metrics._LOOP_BELOW == 32
-    values = np.random.default_rng(size).integers(0, 100, size=size).astype(dtype)
-    want = oracles.left_to_right_sum(values.tolist())
-    got = _ordered_sum(values)
-    assert type(got) is int and got == want
-
-
 # Python 3.12's sum() gives the exactly rounded 0.6 and 4.0 here; the short
 # case takes the loop, the long one np.add.accumulate
 ORDER_SENSITIVE = {

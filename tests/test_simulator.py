@@ -551,12 +551,12 @@ def test_batched_evolve_equals_one_pattern_at_a_time(case):
 
 
 def test_norm_check_covers_every_trajectory_of_a_batch(monkeypatch):
-    # a Pauli that scales the third trajectory's block by 1 + 1e-9 trips
-    # the check on the batch's total mass of 3
+    # a Pauli that scales one trajectory of 64 by 1 + 1e-9 moves its norm
+    # by 2e-9, far below the batch's total mass of 64 times 1e-10
     real = simulator._pauli
 
-    def scaled(psi, kind, axis, buffer):
-        real(psi, kind, axis, buffer)
+    def scaled(psi, kind, axis, state, buffer):
+        real(psi, kind, axis, state, buffer)
         psi *= 1.0 + 1e-9
 
     monkeypatch.setattr(simulator, "_pauli", scaled)
@@ -564,7 +564,8 @@ def test_norm_check_covers_every_trajectory_of_a_batch(monkeypatch):
     b.gate(GateKind.H, 0)
     b.gate(GateKind.CX, 0, 1)
     b.measure_all()
-    patterns = [(), (), ((1, ((0, GateKind.Z),)),)]
+    patterns = [()] * 64
+    patterns[37] = ((1, ((0, GateKind.Z),)),)
     with pytest.raises(AssertionError, match="norm drifted"):
         simulator._evolve(b.build(), patterns)
 
