@@ -25,6 +25,15 @@ from .rng import derive_seed
 from .simulator import Prepared, execute, resolve_tamper
 
 
+#: default ranking criteria, most significant first
+SELECTION_ORDER = ("repeatability", "pm", "tvd", "confidence")
+#: probe defaults, one per `defense` config option of the same name
+DEFAULT_K = 50
+DEFAULT_R = 2
+DEFAULT_PROBE_ITERATIONS = 5
+DEFAULT_PROBE_RUNS = 2
+
+
 class DefenseError(ValueError):
     pass
 
@@ -101,8 +110,8 @@ def equal_split(
 def probe(
     backends: list[BackendModel],
     prepared: Prepared,
-    k: int = 50,
-    r: int = 2,
+    k: int = DEFAULT_K,
+    r: int = DEFAULT_R,
     seed: int = 0,
 ) -> ProbeReport:
     """Fingerprint every backend with r runs of k shots each."""
@@ -146,11 +155,7 @@ def probe(
     return ProbeReport(tuple(probes), voted, k, r)
 
 
-#: default ranking criteria, most significant first
-SELECTION_ORDER = ("repeatability", "pm", "tvd", "confidence")
-
-
-def select_backend(report: ProbeReport, order: tuple[str, ...] | None = None) -> str:
+def select_backend(report: ProbeReport, order=SELECTION_ORDER) -> str:
     """Lexicographic ranking: repeatable-and-voted top, then higher PM,
     then lower TVD, higher confidence, name.
 
@@ -159,7 +164,6 @@ def select_backend(report: ProbeReport, order: tuple[str, ...] | None = None) ->
     """
     if not report.backends:
         raise DefenseError("empty probe report")
-    order = SELECTION_ORDER if order is None else tuple(order)
     if sorted(order) != sorted(SELECTION_ORDER):
         raise DefenseError(
             f"selection order must be a permutation of {SELECTION_ORDER}"
@@ -182,10 +186,10 @@ def adaptive_split(
     backends: list[BackendModel],
     prepared: Prepared,
     shots: int,
-    k: int = 50,
-    r: int = 2,
+    k: int = DEFAULT_K,
+    r: int = DEFAULT_R,
     seed: int = 0,
-    order: tuple[str, ...] | None = None,
+    order: tuple[str, ...] = SELECTION_ORDER,
 ) -> tuple[Counts, SplitPlan, ProbeReport]:
     """Probe, select, then spend the remaining budget on the winner.
 
@@ -236,7 +240,11 @@ class QaoaAdaptiveRecord:
 
 
 def last_phase_iterations(
-    mode: str, iterations: int, backends=2, probe_runs=2, probe_iterations=5
+    mode: str,
+    iterations: int,
+    backends: int = 2,
+    probe_runs: int = DEFAULT_PROBE_RUNS,
+    probe_iterations: int = DEFAULT_PROBE_ITERATIONS,
 ) -> int:
     """Iterations left for the last phase of ``mode``: half of an even budget
     for ``qaoa_split``, and what the probes leave for ``qaoa_adaptive``."""
@@ -280,8 +288,8 @@ def qaoa_adaptive(
     backends: list[BackendModel],
     graph: Graph,
     config: QaoaConfig,
-    probe_iterations: int = 5,
-    probe_runs: int = 2,
+    probe_iterations: int = DEFAULT_PROBE_ITERATIONS,
+    probe_runs: int = DEFAULT_PROBE_RUNS,
     seed: int = 0,
 ) -> QaoaAdaptiveRecord:
     """Short probe optimizations on every backend; the one with the higher

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
-from .adversary import TamperMode, TamperSpec
+from .adversary import TamperError, TamperMode, TamperSpec
 from .backend import BackendModel, NoiseError
 from .benchmarks import builtin
 from .circuit import CapacityExceeded, CircuitError
@@ -86,6 +86,15 @@ _READOUT_SCHEMA = {
             "minItems": 1,
         },
     ]
+}
+
+# defense mode -> (the workload kind it runs on or None, the options it reads)
+_MODES = {
+    "none": (None, ()),
+    "equal": ("sample", ()),
+    "adaptive": ("sample", ("k", "r", "order")),
+    "qaoa_split": ("qaoa", ()),
+    "qaoa_adaptive": ("qaoa", ("probe_iterations", "probe_runs")),
 }
 
 CONFIG_SCHEMA = {
@@ -161,9 +170,7 @@ CONFIG_SCHEMA = {
         "defense": {
             "type": "object",
             "properties": {
-                "mode": {
-                    "enum": ["none", "equal", "adaptive", "qaoa_split", "qaoa_adaptive"]
-                },
+                "mode": {"enum": list(_MODES)},
                 "k": {"type": "integer", "minimum": 10},
                 "r": {"type": "integer", "minimum": 2},
                 "order": {
@@ -345,22 +352,13 @@ class Workload:
 
 
 @dataclass(frozen=True)
-class DefenseSpec:
-    mode: str = "none"
-    k: int = 50
-    r: int = 2
-    order: tuple[str, ...] | None = None
-    probe_iterations: int = 5
-    probe_runs: int = 2
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     workload: Workload
     backends: tuple[BackendModel, ...]
     t_sweep: tuple[float | None, ...]
     shots_sweep: tuple[int, ...]
-    defense: DefenseSpec
+    defense: str  # the mode
+    options: dict  # the `defense` options the mode passes on
     seeds: tuple[int, ...]
     master_seed: int
     out: str | None
@@ -421,7 +419,7 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
     return Workload("qaoa", name, graph=graph, qaoa=config)
 
 
-def _build_backend(raw: dict) -> BackendModel:
+def _build_backend(raw: dict, index: int) -> BackendModel:
     readout = raw.get("readout", DEFAULT_READOUT)
     if isinstance(readout, (int, float)):
         pairs = (float(readout), float(readout))
@@ -432,7 +430,10 @@ def _build_backend(raw: dict) -> BackendModel:
     tamper = None
     if "tamper" in raw:
         spec = raw["tamper"]
-        tamper = TamperSpec(TamperMode(spec["mode"]), spec["t"], spec.get("k"))
+        try:
+            tamper = TamperSpec(TamperMode(spec["mode"]), spec["t"], spec.get("k"))
+        except TamperError as exc:
+            raise ConfigError(f"/backends/{index}/tamper: {exc}")
     return BackendModel(
         name=raw["name"],
         readout=pairs,
@@ -474,7 +475,7 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         path, message = error
         raise ConfigError(f"/{'/'.join(map(str, path))}: {message}")
 
-    backends = tuple(_build_backend(b) for b in raw["backends"])
+    backends = tuple(_build_backend(b, i) for i, b in enumerate(raw["backends"]))
     names = [b.name for b in backends]
     if len(set(names)) != len(names):
         raise ConfigError("/backends: backend names must be unique")
@@ -482,22 +483,23 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
 
     _check_readout(backends, workload)
 
-    defense_raw = dict(raw.get("defense", {"mode": "none"}))
-    if "order" in defense_raw:
-        defense_raw["order"] = tuple(defense_raw["order"])
-    defense = DefenseSpec(**defense_raw)
-    if defense.mode != "none" and len(backends) < 2:
-        raise ConfigError(f"/defense/mode: {defense.mode} needs >= 2 backends")
-    if defense.mode == "qaoa_split" and len(backends) != 2:
+    options = dict(raw.get("defense", {"mode": "none"}))
+    mode = options.pop("mode")
+    kind, reads = _MODES[mode]
+    for key in options:
+        if key not in reads:
+            raise ConfigError(f"/defense/{key}: {mode} does not read {key}")
+    if mode != "none" and len(backends) < 2:
+        raise ConfigError(f"/defense/mode: {mode} needs >= 2 backends")
+    if mode == "qaoa_split" and len(backends) != 2:
         raise ConfigError("/defense/mode: qaoa_split needs exactly 2 backends")
-    if workload.kind == "qaoa" and defense.mode in ("equal", "adaptive"):
-        raise ConfigError(f"/defense/mode: {defense.mode} needs a sampling workload")
-    if workload.kind == "sample" and defense.mode.startswith("qaoa"):
-        raise ConfigError(f"/defense/mode: {defense.mode} needs a qaoa workload")
-    if defense.mode.startswith("qaoa"):
-        probes = (len(backends), defense.probe_runs, defense.probe_iterations)
+    if kind not in (None, workload.kind):
+        noun = "sampling" if kind == "sample" else kind
+        raise ConfigError(f"/defense/mode: {mode} needs a {noun} workload")
+    if kind == "qaoa":
+        iterations = workload.qaoa.iterations
         try:
-            last_phase_iterations(defense.mode, workload.qaoa.iterations, *probes)
+            last_phase_iterations(mode, iterations, len(backends), **options)
         except DefenseError as exc:
             raise ConfigError(f"/workload/qaoa/iterations: {exc}")
 
@@ -508,7 +510,8 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         backends=backends,
         t_sweep=t_sweep,
         shots_sweep=shots_sweep,
-        defense=defense,
+        defense=mode,
+        options=options,
         seeds=tuple(raw["seeds"]),
         master_seed=raw.get("master_seed", 0),
         out=raw.get("out"),
@@ -537,7 +540,7 @@ def _probe_summary(report) -> dict:
                 "name": bp.name,
                 "repeatable": bp.repeatable,
                 "mean_inter_run_tvd": bp.mean_inter_run_tvd,
-                "mean_pm": bp.mean_pm,
+                "mean_pm": _finite(bp.mean_pm),
                 "mean_confidence": bp.mean_confidence,
                 "run_tops": [run.top for run in bp.runs],
             }
@@ -570,16 +573,16 @@ def _qaoa_record_fields(record: dict, run) -> None:
 def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) -> None:
     """Run one backend group under the config's defense mode and write that
     mode's fields into `record`."""
-    wl, defense = config.workload, config.defense
+    wl, mode = config.workload, config.defense
     if wl.kind == "qaoa":
         qcfg = wl.qaoa
-        if defense.mode == "none":
+        if mode == "none":
             (backend,) = backends
             run = optimize(
                 backend, wl.graph, qcfg.p, qcfg.iterations, qcfg.shots_per_iter, seed
             )
             _qaoa_record_fields(record, run)
-        elif defense.mode == "qaoa_split":
+        elif mode == "qaoa_split":
             split = qaoa_iteration_split(backends[0], backends[1], wl.graph, qcfg, seed)
             record.update(
                 ar=split.ar,
@@ -589,12 +592,7 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
             )
         else:  # qaoa_adaptive
             result = qaoa_adaptive(
-                backends,
-                wl.graph,
-                qcfg,
-                probe_iterations=defense.probe_iterations,
-                probe_runs=defense.probe_runs,
-                seed=seed,
+                backends, wl.graph, qcfg, seed=seed, **config.options
             )
             record["selected"] = result.selected
             record["probe_ars"] = {k: list(v) for k, v in result.probe_ars.items()}
@@ -602,22 +600,16 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
             record["ar"] = result.ar
         return
 
-    if defense.mode == "none":
+    if mode == "none":
         (backend,) = backends
         counts = execute(backend, wl.prepared, shots, seed)
         clean_mix = clean[backend.name]
     else:
-        if defense.mode == "equal":
+        if mode == "equal":
             counts, plan = equal_split(backends, wl.prepared, shots, seed)
         else:  # adaptive
             counts, plan, report = adaptive_split(
-                backends,
-                wl.prepared,
-                shots,
-                k=defense.k,
-                r=defense.r,
-                seed=seed,
-                order=defense.order,
+                backends, wl.prepared, shots, seed=seed, **config.options
             )
             record["probe"] = _probe_summary(report)
             record["selected"] = plan.selected
@@ -639,7 +631,7 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
 def _run_cell(config: ExperimentConfig, t, shots, seed, clean) -> list[dict]:
     """One record per backend under `none`, else one for the whole cell."""
     backends = _with_t(config.backends, t)
-    groups = [[b] for b in backends] if config.defense.mode == "none" else [backends]
+    groups = [[b] for b in backends] if config.defense == "none" else [backends]
     cell_seed = _cell_seed(config, t, shots, seed)
     records = []
     for group in groups:
@@ -657,7 +649,7 @@ def _base_record(config: ExperimentConfig, t, shots, seed, backend: str) -> dict
         "experiment_id": config.experiment_id,
         "workload": config.workload.name,
         "backend": backend,
-        "defense": config.defense.mode,
+        "defense": config.defense,
         "t": t,
         "shots": shots,
         "seed": seed,

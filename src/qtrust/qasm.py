@@ -290,7 +290,13 @@ class _Parser:
                 )
             self._expect(";")
         while self._peek() is not None:
-            self._parse_statement()
+            line = self.tokens[self.pos].line
+            try:
+                self._parse_statement()
+            except CapacityExceeded:  # a guard, raised as itself
+                raise
+            except CircuitError as err:  # an instruction the circuit rejects
+                raise QasmError(str(err), line) from None
 
     def _parse_statement(self) -> None:
         tok = self._next()
@@ -419,7 +425,7 @@ class _Parser:
             self._emit_call(name.text, params, qubits, name.line, depth=0)
         if self.measured:  # the rules have nothing to check before then
             for instr in self.instructions[start:]:
-                self._check_measure_rules(instr, name.line)
+                check_measure_rules(instr, self.measured, self.written)
 
     def _cost(self, name: str) -> tuple[int, int]:
         """(instructions built, calls that build nothing) of one call of
@@ -474,16 +480,8 @@ class _Parser:
             raise QasmSyntaxError("measure register sizes differ", line)
         for q, c in zip(qubits, clbits):
             instr = Instruction(GateKind.MEASURE, (q,), clbit=c)
-            self._check_measure_rules(instr, line)
-            self.instructions.append(instr)
-
-    def _check_measure_rules(self, instr: Instruction, line: int) -> None:
-        """``circuit.check_measure_rules`` as the instruction is emitted, so
-        the error names its line."""
-        try:
             check_measure_rules(instr, self.measured, self.written)
-        except CircuitError as err:
-            raise QasmError(str(err), line) from None
+            self.instructions.append(instr)
 
     def circuit(self, name: str = "") -> Circuit:
         num_qubits = sum(s for _, s in self.qregs.values())

@@ -69,7 +69,8 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            # JSON has no inf or nan (RFC 8259): either raises ValueError
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
 # the fields a `qtrust report` builder reads from every record of a mode

@@ -61,7 +61,7 @@ def test_load_config_happy_path():
     assert len(config.backends) == 2
     assert config.t_sweep == (None,)
     assert config.shots_sweep == (1000,)
-    assert config.defense.mode == "none"
+    assert config.defense == "none"
 
 
 def test_config_error_carries_json_pointer():
@@ -157,6 +157,127 @@ def test_config_defense_backend_counts():
     cfg["backends"] = cfg["backends"][:1]
     with pytest.raises(ConfigError):
         load_config(cfg)
+
+
+def test_schema_lists_the_modes_of_the_table():
+    defense = harness.CONFIG_SCHEMA["properties"]["defense"]["properties"]
+    assert defense["mode"]["enum"] == list(harness._MODES)
+
+
+# a valid workload of each kind; 50 QAOA iterations split under every mode
+WORKLOADS = {
+    "sample": {"builtin": "toffoli_n3"},
+    "qaoa": {"qaoa": {"nodes": 4, "degree": 2, "iterations": 50}},
+}
+# the workload kind each defense mode runs on, None for either
+MODE_KINDS = {
+    "none": None,
+    "equal": "sample",
+    "adaptive": "sample",
+    "qaoa_split": "qaoa",
+    "qaoa_adaptive": "qaoa",
+}
+
+
+@pytest.mark.parametrize("kind", WORKLOADS)
+@pytest.mark.parametrize("mode", MODE_KINDS)
+def test_mode_loads_exactly_on_its_workload_kind(mode, kind):
+    assert harness._MODES[mode][0] == MODE_KINDS[mode]
+    cfg = base_config(workload=WORKLOADS[kind], defense={"mode": mode})
+    needed = MODE_KINDS[mode]
+    if needed in (None, kind):
+        assert load_config(cfg).defense == mode
+        return
+    noun = {"sample": "sampling", "qaoa": "qaoa"}[needed]
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == f"/defense/mode: {mode} needs a {noun} workload"
+
+
+# a valid value of every defense option, and the options each mode reads
+OPTION_VALUES = {
+    "k": 10,
+    "r": 3,
+    "order": ["tvd", "pm", "repeatability", "confidence"],
+    "probe_iterations": 1,
+    "probe_runs": 1,
+}
+MODE_READS = {
+    "adaptive": {"k", "r", "order"},
+    "qaoa_adaptive": {"probe_iterations", "probe_runs"},
+}
+UNREAD = [
+    (mode, option)
+    for mode in MODE_KINDS
+    for option in OPTION_VALUES
+    if option not in MODE_READS.get(mode, ())
+]
+
+
+def _mode_config(mode, **options):
+    kind = MODE_KINDS[mode] or "sample"
+    return base_config(workload=WORKLOADS[kind], defense={"mode": mode, **options})
+
+
+def test_twenty_mode_option_pairs_are_unread():
+    assert len(UNREAD) == 20
+    for mode in MODE_KINDS:
+        reads = harness._MODES[mode][1]
+        assert set(reads) == MODE_READS.get(mode, set())
+
+
+@pytest.mark.parametrize("mode, option", UNREAD)
+def test_option_the_mode_does_not_read_is_config_error(mode, option):
+    cfg = _mode_config(mode, **{option: OPTION_VALUES[option]})
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == f"/defense/{option}: {mode} does not read {option}"
+
+
+@pytest.mark.parametrize("mode", MODE_READS)
+def test_options_the_mode_reads_are_passed_on(mode):
+    options = {option: OPTION_VALUES[option] for option in sorted(MODE_READS[mode])}
+    config = load_config(_mode_config(mode, **options))
+    assert config.defense == mode
+    assert config.options == options
+    records, errors = run_experiment(config)
+    assert errors == [] and len(records) == 2  # one per seed
+
+
+def test_cli_unread_option_exits_2(tmp_path, capsys):
+    # this config once loaded, ran and dropped probe_runs without a word
+    cfg = base_config(defense={"mode": "adaptive", "probe_runs": 7, "k": 10})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: /defense/probe_runs: adaptive does not read probe_runs\n"
+    assert not (tmp_path / "results.jsonl").exists()
+
+
+def test_qaoa_adaptive_default_probes_at_the_budget_edge():
+    # default probes: 2 backends x 2 runs x 5 iterations = 20 iterations,
+    # so the harness's budget check and the defense agree on the defaults
+    cfg = _mode_config("qaoa_adaptive")
+    cfg["workload"]["qaoa"]["iterations"] = 20
+    with pytest.raises(ConfigError, match="^/workload/qaoa/iterations: .*cover 20"):
+        load_config(cfg)
+    cfg["workload"]["qaoa"]["iterations"] = 21
+    records, errors = run_experiment(load_config(cfg))
+    assert errors == [] and len(records) == 2
+
+
+def test_cli_random_subset_without_k_exits_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["backends"][1]["tamper"] = {"mode": "random_subset", "t": 0.3}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: /backends/1/tamper: "
+        "random_subset needs a positive subset size k\n"
+    )
 
 
 # a per-qubit readout list must cover every measured qubit: the three of
@@ -782,6 +903,35 @@ def test_jsonl_round_trip(tmp_path):
     assert read_jsonl(path) == records
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_infinite_probe_pm_is_written_as_json(tmp_path):
+    # probes that only ever see the correct outcome have an infinite PM
+    honest = {"readout": 0, "drift": 0}
+    cfg = base_config(
+        backends=[{"name": "hw_a", **honest}, {"name": "hw_b", **honest}],
+        defense={"mode": "adaptive"},
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "results.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    records = [json.loads(line, parse_constant=_no_constant) for line in lines]
+    assert len(records) == 2
+    for record in records:
+        assert record["pm"] == "inf"
+        assert [bp["mean_pm"] for bp in record["probe"]["backends"]] == ["inf"] * 2
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_jsonl_refuses_a_non_finite_float(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_jsonl([{"x": value}], tmp_path / "out.jsonl")
+
+
 def test_summarize_groups_over_seeds():
     config = load_config(base_config(seeds=[0, 1, 2]))
     records, _ = run_experiment(config)
@@ -895,6 +1045,9 @@ BAD_QASM = {
     "unknown_gate": "qreg q[2]; creg c[2]; foo q[0]; measure q -> c;",
     "duplicate_qubit": "qreg q[2]; creg c[2]; cx q[0],q[0]; measure q -> c;",
     "duplicate_barrier": "qreg q[2]; creg c[2]; barrier q,q[0]; measure q -> c;",
+    "duplicate_in_macro": (
+        "gate g a, b { cx a, b; } qreg q[2]; creg c[2]; g q[0], q[0]; measure q -> c;"
+    ),
     "too_wide": "qreg q[30]; creg c[1]; measure q[0] -> c[0];",
     "gate_after_measure": "qreg q[1]; creg c[1]; measure q[0] -> c[0]; h q[0];",
     "measured_twice": "qreg q[1]; creg c[2]; measure q[0] -> c[0]; measure q[0] -> c[1];",
@@ -934,6 +1087,17 @@ def test_cli_measurement_errors_name_their_line(tmp_path, capsys, name):
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: /workload/qasm: {path}: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "name", ["duplicate_qubit", "duplicate_barrier", "duplicate_in_macro"]
+)
+def test_cli_duplicate_qubit_names_its_line(tmp_path, capsys, name):
+    # exit codes: test_cli_parse_bad_qasm_exits_1, test_cli_run_bad_qasm_is_config_error
+    path = tmp_path / "t.qasm"
+    path.write_text(BAD_QASM[name])
+    assert main(["parse", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 1: duplicate qubit")
 
 
 def test_cli_seed_override(tmp_path):

@@ -320,6 +320,10 @@ def test_every_error_carries_its_line():
         ("qreg q[2];\nx q[5];", QasmIndexError, 2),
         ("qreg q[1];\n\nfoo q[0];", UnsupportedGateError, 3),
         ("gate g a {\n  bar a;\n}", UnsupportedGateError, 2),
+        # one qubit named twice in one instruction: at the application's line
+        ("qreg q[2];\ncx q[0],q[0];", QasmError, 2),
+        ("gate g a, b {\n  cx a, b;\n}\nqreg q[2];\ng q[0], q[0];", QasmError, 5),
+        ("qreg q[2];\n\nbarrier q, q[1];", QasmError, 3),
     ]
     for source, kind, line in cases:
         with pytest.raises(kind) as err:
