@@ -1,7 +1,5 @@
 """Adversarial tampering: random and targeted bit-flip channels applied to
-measured-bit distributions, plus the error-masking arithmetic a rogue
-provider uses to hide the extra flip probability inside quoted readout
-error figures.
+measured-bit distributions.
 
 Tampering and readout error are one tensored bit-flip map with different
 probabilities: ``flip_channel`` on a dense outcome vector, such as the
@@ -10,7 +8,6 @@ right of a key (q_i under the q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -29,10 +26,6 @@ class DegenerateCounts(TamperError):
 
 class UnresolvedTamperSpec(TamperError):
     """Channel applied before the target lines were resolved."""
-
-
-class InvalidLineCount(TamperError):
-    pass
 
 
 class TamperMode(Enum):
@@ -65,6 +58,13 @@ class TamperSpec:
     def needs_resolution(self) -> bool:
         return self.mode is not TamperMode.RANDOM_ALL and self.lines is None
 
+    def check_width(self, width: int) -> None:
+        """A subset of ``k`` lines must fit in the ``width`` measured lines."""
+        if self.k is not None and self.k > width:
+            raise TamperError(
+                f"subset size k={self.k} exceeds the {width} measured lines"
+            )
+
     def with_lines(self, lines) -> "TamperSpec":
         return replace(self, lines=tuple(sorted(lines)))
 
@@ -80,17 +80,6 @@ class TamperSpec:
     def flips(self, num_lines: int) -> dict[int, tuple[float, float]]:
         """Symmetric ``(t, t)`` flip pair on every target line."""
         return {line: (self.t, self.t) for line in self.resolved_lines(num_lines)}
-
-
-@dataclass(frozen=True)
-class MaskingReport:
-    """Net readout error a user would see once tampering is folded in."""
-
-    base_rae: float
-    t: float
-    n: int
-    delta_tampering: float
-    net_rae: float
 
 
 def plan_targeted(untampered: Counts) -> tuple[int, ...]:
@@ -120,17 +109,3 @@ def flip_channel(
         m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
         probs = (m @ probs.reshape(-1, 2, 1 << line)).reshape(-1)
     return probs
-
-
-def masked_rae(
-    base_rae: float, t: float, total_lines: int, tampered_lines: int
-) -> MaskingReport:
-    """Combine native readout error with diluted tampering in quadrature."""
-    if tampered_lines < 1 or tampered_lines > total_lines:
-        raise InvalidLineCount(
-            f"tampered lines {tampered_lines} outside [1, {total_lines}]"
-        )
-    n = total_lines - tampered_lines + 1
-    delta = t / n
-    net = math.sqrt(base_rae**2 + delta**2)
-    return MaskingReport(base_rae, t, n, delta, net)

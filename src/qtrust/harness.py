@@ -55,10 +55,26 @@ class ConfigError(ValueError):
     """Config rejected; the message carries a JSON pointer to the field."""
 
 
+# defense mode -> (the workload kind it runs on or None, the options it reads)
+_MODES = {
+    "none": (None, ()),
+    "equal": ("sample", ()),
+    "adaptive": ("sample", ("k", "r", "order")),
+    "qaoa_split": ("qaoa", ()),
+    "qaoa_adaptive": ("qaoa", ("probe_iterations", "probe_runs")),
+}
+
+# tamper mode -> the `tamper` options it reads besides mode and t
+_TAMPER_MODES = {
+    TamperMode.RANDOM_ALL: (),
+    TamperMode.RANDOM_SUBSET: ("k",),
+    TamperMode.TARGETED: (),
+}
+
 _TAMPER_SCHEMA = {
     "type": "object",
     "properties": {
-        "mode": {"enum": ["random_all", "random_subset", "targeted"]},
+        "mode": {"enum": [m.value for m in _TAMPER_MODES]},
         "t": {"type": "number", "minimum": 0.0, "maximum": 1.0},
         "k": {"type": "integer", "minimum": 1},
     },
@@ -86,15 +102,6 @@ _READOUT_SCHEMA = {
             "minItems": 1,
         },
     ]
-}
-
-# defense mode -> (the workload kind it runs on or None, the options it reads)
-_MODES = {
-    "none": (None, ()),
-    "equal": ("sample", ()),
-    "adaptive": ("sample", ("k", "r", "order")),
-    "qaoa_split": ("qaoa", ()),
-    "qaoa_adaptive": ("qaoa", ("probe_iterations", "probe_runs")),
 }
 
 CONFIG_SCHEMA = {
@@ -429,11 +436,15 @@ def _build_backend(raw: dict, index: int) -> BackendModel:
         pairs = (float(readout[0]), float(readout[1]))
     tamper = None
     if "tamper" in raw:
-        spec = raw["tamper"]
+        pointer = f"/backends/{index}/tamper"
+        options = dict(raw["tamper"])
+        mode = TamperMode(options.pop("mode"))
+        t = options.pop("t")
+        _check_reads(pointer, mode.value, options, _TAMPER_MODES[mode])
         try:
-            tamper = TamperSpec(TamperMode(spec["mode"]), spec["t"], spec.get("k"))
+            tamper = TamperSpec(mode, t, **options)
         except TamperError as exc:
-            raise ConfigError(f"/backends/{index}/tamper: {exc}")
+            raise ConfigError(f"{pointer}: {exc}")
     return BackendModel(
         name=raw["name"],
         readout=pairs,
@@ -443,17 +454,32 @@ def _build_backend(raw: dict, index: int) -> BackendModel:
     )
 
 
-def _check_readout(backends, workload: Workload) -> None:
-    """Every backend needs a readout pair for every measured qubit."""
+def _check_reads(pointer: str, mode: str, options, reads) -> None:
+    """Reject an option that ``mode`` never reads, at its pointer."""
+    for key in options:
+        if key not in reads:
+            raise ConfigError(f"{pointer}/{key}: {mode} does not read {key}")
+
+
+def _check_widths(backends, workload: Workload) -> None:
+    """Every backend needs a readout pair for every measured qubit, and a
+    tamper subset no wider than the measured lines."""
     if workload.kind == "qaoa":
-        last = workload.graph.n - 1
+        width, last = workload.graph.n, workload.graph.n - 1
     else:
-        last = max(q for q, _ in workload.prepared.circuit.measured_pairs)
+        pairs = workload.prepared.measured_pairs
+        width, last = len(pairs), max(q for q, _ in pairs)
     for i, backend in enumerate(backends):
         try:
             backend.pair_for(last)
         except NoiseError as exc:
             raise ConfigError(f"/backends/{i}/readout: {exc}")
+        if backend.tamper is None:
+            continue
+        try:
+            backend.tamper.check_width(width)
+        except TamperError as exc:
+            raise ConfigError(f"/backends/{i}/tamper/k: {exc}")
 
 
 def load_config(source: dict | str | Path, base_dir: Path | None = None) -> ExperimentConfig:
@@ -481,14 +507,12 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         raise ConfigError("/backends: backend names must be unique")
     workload = _build_workload(raw["workload"], base_dir)
 
-    _check_readout(backends, workload)
+    _check_widths(backends, workload)
 
     options = dict(raw.get("defense", {"mode": "none"}))
     mode = options.pop("mode")
     kind, reads = _MODES[mode]
-    for key in options:
-        if key not in reads:
-            raise ConfigError(f"/defense/{key}: {mode} does not read {key}")
+    _check_reads("/defense", mode, options, reads)
     if mode != "none" and len(backends) < 2:
         raise ConfigError(f"/defense/mode: {mode} needs >= 2 backends")
     if mode == "qaoa_split" and len(backends) != 2:

@@ -179,15 +179,6 @@ def probabilities(graph: Graph, params: QaoaParams) -> np.ndarray:
     return probs
 
 
-def cut_value(bitstring: str, graph: Graph) -> int:
-    """Number of edges with differing endpoint bits."""
-    if len(bitstring) != graph.n:
-        raise LengthMismatch(
-            f"bitstring length {len(bitstring)} != {graph.n} nodes"
-        )
-    return int(graph.cuts[int(bitstring, 2)])
-
-
 def expectation(counts: Counts, graph: Graph) -> float:
     """Shot-weighted mean cut value."""
     if not counts:

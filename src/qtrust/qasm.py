@@ -499,7 +499,12 @@ def parse_qasm(source: str, name: str = "") -> Circuit:
 
 
 def circuit_to_qasm(circuit: Circuit) -> str:
-    """Serialize a Circuit back to OpenQASM 2.0 text (round-trip safe)."""
+    """Serialize a Circuit back to OpenQASM 2.0 text (round-trip safe).
+
+    No pipeline stage calls it: it serves the parser's round-trip tests
+    and the serialization that ``docs/qasm_grammar.md`` § Serialization
+    documents for library users.
+    """
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',

@@ -276,9 +276,9 @@ def resolve_tamper(
         )
         lines = plan_targeted(private)
     else:  # RANDOM_SUBSET
+        spec.check_width(width)
         rng = derive_rng(seed, backend.name, "tamper-lines")
-        k = min(spec.k, width)
-        lines = tuple(sorted(rng.choice(width, size=k, replace=False).tolist()))
+        lines = tuple(sorted(rng.choice(width, size=spec.k, replace=False).tolist()))
     return backend.with_tamper(spec.with_lines(lines))
 
 

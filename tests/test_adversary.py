@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +5,11 @@ from hypothesis import strategies as st
 from oracles import as_counts
 from qtrust.adversary import (
     DegenerateCounts,
-    InvalidLineCount,
     TamperError,
     TamperMode,
     TamperSpec,
     UnresolvedTamperSpec,
     flip_channel,
-    masked_rae,
     plan_targeted,
 )
 from qtrust.metrics import Counts
@@ -153,47 +149,3 @@ def test_channel_preserves_total_mass(raw, t):
     spec = TamperSpec(TamperMode.RANDOM_ALL, t)
     out = Counts(flip_channel(dist.vector, spec.flips(2)))
     assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-# --- masking arithmetic -------------------------------------------------------
-
-
-def test_masked_rae_reference_values():
-    # base readout error 2%, t=0.1 diluted over 5 lines with 1 tampered
-    report = masked_rae(0.02, 0.1, total_lines=5, tampered_lines=1)
-    assert report.n == 5
-    assert report.delta_tampering == pytest.approx(0.02)
-    assert report.net_rae == pytest.approx(0.028, abs=5e-4)
-
-
-def test_masked_rae_line_count_validation():
-    with pytest.raises(InvalidLineCount):
-        masked_rae(0.02, 0.1, total_lines=3, tampered_lines=0)
-    with pytest.raises(InvalidLineCount):
-        masked_rae(0.02, 0.1, total_lines=3, tampered_lines=4)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=0.2),
-    st.floats(min_value=0.0, max_value=0.45),
-    st.floats(min_value=0.0, max_value=0.45),
-)
-@settings(max_examples=50)
-def test_masked_rae_monotone_in_t(base, t_lo, t_hi):
-    lo, hi = sorted((t_lo, t_hi))
-    a = masked_rae(base, lo, 5, 2).net_rae
-    b = masked_rae(base, hi, 5, 2).net_rae
-    assert b >= a - 1e-15
-
-
-def test_masked_rae_monotone_in_base():
-    assert (
-        masked_rae(0.05, 0.3, 4, 1).net_rae
-        >= masked_rae(0.01, 0.3, 4, 1).net_rae
-    )
-
-
-def test_masked_rae_quadrature():
-    report = masked_rae(0.03, 0.2, total_lines=4, tampered_lines=2)
-    expected = math.sqrt(0.03**2 + (0.2 / 3) ** 2)
-    assert report.net_rae == pytest.approx(expected)

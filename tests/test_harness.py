@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrust import harness, simulator
+from qtrust.adversary import TamperMode
 from qtrust.cli import main
 from qtrust.harness import ConfigError, load_config, run_experiment
 from qtrust.report import read_jsonl, summarize, write_jsonl
@@ -22,7 +24,8 @@ from qtrust.report import read_jsonl, summarize, write_jsonl
 from oracles import jsonschema_error_paths
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def base_config(**overrides):
@@ -278,6 +281,89 @@ def test_cli_random_subset_without_k_exits_2(tmp_path, capsys):
         "config error: /backends/1/tamper: "
         "random_subset needs a positive subset size k\n"
     )
+
+
+def test_schema_lists_the_tamper_modes_of_the_table():
+    backend = harness.CONFIG_SCHEMA["properties"]["backends"]["items"]["properties"]
+    enum = backend["tamper"]["properties"]["mode"]["enum"]
+    assert enum == [mode.value for mode in harness._TAMPER_MODES]
+    assert set(harness._TAMPER_MODES) == set(TamperMode)
+
+
+@pytest.mark.parametrize("mode", ["random_all", "targeted"])
+def test_tamper_option_the_mode_does_not_read_is_config_error(mode):
+    cfg = base_config()
+    cfg["backends"][1]["tamper"] = {"mode": mode, "t": 0.5, "k": 3}
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == f"/backends/1/tamper/k: {mode} does not read k"
+
+
+def test_cli_unread_tamper_option_exits_2(tmp_path, capsys):
+    out = tmp_path / "results.jsonl"
+    config = DATA / "unread_tamper_option.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: /backends/1/tamper/k: targeted does not read k\n"
+    assert not out.exists()
+
+
+# the measured lines of each workload kind: toffoli_n3's three, and one per
+# node of the QAOA graph
+WIDTHS = {
+    "builtin": ({"builtin": "toffoli_n3"}, 3),
+    "qaoa": ({"qaoa": {"nodes": 4, "degree": 2, "iterations": 10}}, 4),
+}
+
+
+@pytest.mark.parametrize("workload, width", WIDTHS.values(), ids=list(WIDTHS))
+def test_random_subset_wider_than_the_lines_is_config_error(workload, width):
+    cfg = base_config(workload=workload)
+    cfg["backends"][1]["tamper"] = {"mode": "random_subset", "t": 0.3, "k": width + 1}
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == (
+        f"/backends/1/tamper/k: subset size k={width + 1} "
+        f"exceeds the {width} measured lines"
+    )
+    cfg["backends"][1]["tamper"]["k"] = width
+    records, errors = run_experiment(load_config(cfg))
+    assert errors == [] and len(records) == 4  # two backends x two seeds
+
+
+def _read_by(heading: str) -> tuple[set, dict]:
+    """The fields of the table under ``heading`` in docs/config_schema.md,
+    and mode -> the fields its "read by" column names."""
+    text = (ROOT / "docs" / "config_schema.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.MULTILINE)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    rows = [line.split("|")[1:-1] for line in lines]
+    column = [cell.strip() for cell in rows[0]].index("read by")
+    fields, reads = set(), {}
+    for row in rows[2:]:
+        field = row[0].strip().strip("`")
+        fields.add(field)
+        for mode in re.findall(r"`(\w+)`", row[column]):
+            reads.setdefault(mode, set()).add(field)
+    return fields, reads
+
+
+def test_docs_read_by_columns_match_the_tables():
+    properties = harness.CONFIG_SCHEMA["properties"]
+    fields, reads = _read_by("## `defense`")
+    assert fields == set(properties["defense"]["properties"])
+    assert reads == {
+        mode: set(options) for mode, (_, options) in harness._MODES.items() if options
+    }
+    tamper = properties["backends"]["items"]["properties"]["tamper"]
+    fields, reads = _read_by("### `backends[].tamper`")
+    assert fields == set(tamper["properties"])
+    assert reads == {
+        mode.value: set(options)
+        for mode, options in harness._TAMPER_MODES.items()
+        if options
+    }
 
 
 # a per-qubit readout list must cover every measured qubit: the three of

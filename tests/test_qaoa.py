@@ -22,7 +22,6 @@ from qtrust.qaoa import (
     QaoaParams,
     build_qaoa_circuit,
     cmax,
-    cut_value,
     exact_expectation,
     expectation,
     optimize,
@@ -60,18 +59,6 @@ def test_graph_normalizes_edge_order():
     assert g.sorted_edges == [(0, 2)]
 
 
-def test_cut_value_convention():
-    g = Graph.from_edges(3, [(0, 2)])
-    # bitstring is q2 q1 q0; "100" separates node 2 from node 0
-    assert cut_value("100", g) == 1
-    assert cut_value("101", g) == 0
-
-
-def test_cut_value_length_check():
-    with pytest.raises(LengthMismatch):
-        cut_value("01", c4())
-
-
 def test_cmax_known_graphs():
     assert cmax(c4()) == 4
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -102,7 +89,6 @@ def test_cut_kernel_matches_string_reference(n):
     assert graph.cuts is graph.cuts and not graph.cuts.flags.writeable
     assert graph.cuts.dtype == np.uint8
     assert graph.cuts.tolist() == list(cut.values())
-    assert {key: cut_value(key, graph) for key in keys} == cut
     observed = sorted(rng.sample(keys, min(len(keys), 40)))  # key order
     counts = {key: rng.randint(1, 500) for key in observed}
     want = sum(c * cut[key] for key, c in counts.items()) / sum(counts.values())

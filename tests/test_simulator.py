@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtrust.adversary import TamperMode, TamperSpec, flip_channel
+from qtrust.adversary import TamperError, TamperMode, TamperSpec, flip_channel
 from qtrust import simulator
 from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
@@ -335,6 +335,16 @@ def test_prepare_evolves_once_and_stages_evolve_nothing(monkeypatch):
     execute(resolved, prepared, 500, seed=2)
     clean_distribution(backend, prepared)
     assert calls == [1]  # the stages read prepared.ideal
+
+
+def test_resolve_tamper_refuses_a_subset_wider_than_the_lines():
+    # the rule the config loader applies holds for library callers too
+    prepared = prepare(_bell())
+    wide = BackendModel("hw", tamper=TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=3))
+    with pytest.raises(TamperError, match="^subset size k=3 exceeds the 2 measured"):
+        resolve_tamper(wide, prepared, seed=2)
+    fits = wide.with_tamper(TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=2))
+    assert resolve_tamper(fits, prepared, seed=2).tamper.lines == (0, 1)
 
 
 def test_prepared_ideal_is_read_only():
