@@ -137,7 +137,8 @@ class Circuit:
             if instr.kind is GateKind.MEASURE:
                 if not 0 <= instr.clbit < self.num_clbits:
                     raise CircuitError(f"clbit index {instr.clbit} out of range")
-            check_measure_rules(instr, measured, written)
+            if measured or instr.kind is GateKind.MEASURE:  # no rule applies before one
+                check_measure_rules(instr, measured, written)
 
     @cached_property
     def measured_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -227,8 +227,7 @@ def adaptive_split(
 class QaoaSplitRecord:
     phase_a: QaoaRunRecord
     phase_b: QaoaRunRecord
-    ar: float
-    cmax: int
+    best: QaoaRunRecord  # the phase with the higher best expectation; A on a tie
 
 
 @dataclass
@@ -236,7 +235,7 @@ class QaoaAdaptiveRecord:
     probe_ars: dict[str, tuple[float, ...]]
     selected: str
     final: QaoaRunRecord
-    ar: float
+    best: QaoaRunRecord  # final, or the winner's best probe run if its AR is higher
 
 
 def last_phase_iterations(
@@ -268,7 +267,8 @@ def qaoa_iteration_split(
     seed: int,
 ) -> QaoaSplitRecord:
     """Optimize half the iterations on A, hand the incumbent parameters to
-    B for the other half. AR is the best expectation seen in either phase."""
+    B for the other half. The answer is the phase whose best expectation is
+    higher, phase A on a tie."""
     half = last_phase_iterations("qaoa_split", config.iterations)
     rec_a = optimize(backend_a, graph, config.p, half, config.shots_per_iter, seed)
     rec_b = optimize(
@@ -280,8 +280,8 @@ def qaoa_iteration_split(
         derive_seed(seed, "phase-b"),
         init_params=rec_a.best_params,
     )
-    best = max(rec_a.best_expectation, rec_b.best_expectation)
-    return QaoaSplitRecord(rec_a, rec_b, best / rec_a.cmax, rec_a.cmax)
+    best = rec_b if rec_b.best_expectation > rec_a.best_expectation else rec_a
+    return QaoaSplitRecord(rec_a, rec_b, best)
 
 
 def qaoa_adaptive(
@@ -293,7 +293,8 @@ def qaoa_adaptive(
     seed: int = 0,
 ) -> QaoaAdaptiveRecord:
     """Short probe optimizations on every backend; the one with the higher
-    mean probe AR gets the remaining iteration budget."""
+    mean probe AR gets the remaining iteration budget. The answer is the
+    final run, unless the winner's best probe run has a strictly higher AR."""
     _check_backends(backends)
     remaining = last_phase_iterations(
         "qaoa_adaptive", config.iterations, len(backends), probe_runs, probe_iterations
@@ -318,6 +319,7 @@ def qaoa_adaptive(
         backends,
         key=lambda b: (-_ordered_sum(probe_ars[b.name]) / probe_runs, b.name),
     )
+    probe_best = best_probe[selected.name]
     final = optimize(
         selected,
         graph,
@@ -325,7 +327,7 @@ def qaoa_adaptive(
         remaining,
         config.shots_per_iter,
         derive_seed(seed, "qaoa-main"),
-        init_params=best_probe[selected.name].best_params,
+        init_params=probe_best.best_params,
     )
-    ar = max(final.ar, max(probe_ars[selected.name]))
-    return QaoaAdaptiveRecord(probe_ars, selected.name, final, ar)
+    best = probe_best if probe_best.ar > final.ar else final
+    return QaoaAdaptiveRecord(probe_ars, selected.name, final, best)

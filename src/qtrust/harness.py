@@ -527,6 +527,9 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         except DefenseError as exc:
             raise ConfigError(f"/workload/qaoa/iterations: {exc}")
 
+    if workload.kind == "qaoa" and "shots_sweep" in raw:
+        # the QAOA modes read shots_per_iter; a sweep would only reseed cells
+        raise ConfigError("/shots_sweep: a qaoa workload does not read shots")
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
     return ExperimentConfig(
@@ -584,16 +587,6 @@ def _clean_mixture(clean: dict[str, Counts], allocations) -> Counts:
     return Counts(sum(clean[n].vector * s / total for n, s in allocations if s > 0))
 
 
-def _qaoa_record_fields(record: dict, run) -> None:
-    record.update(
-        ar=run.ar,
-        cmax=run.cmax,
-        best_expectation=run.best_expectation,
-        gamma=list(run.best_params.gamma),
-        beta=list(run.best_params.beta),
-    )
-
-
 def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) -> None:
     """Run one backend group under the config's defense mode and write that
     mode's fields into `record`."""
@@ -605,23 +598,24 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
             run = optimize(
                 backend, wl.graph, qcfg.p, qcfg.iterations, qcfg.shots_per_iter, seed
             )
-            _qaoa_record_fields(record, run)
         elif mode == "qaoa_split":
             split = qaoa_iteration_split(backends[0], backends[1], wl.graph, qcfg, seed)
-            record.update(
-                ar=split.ar,
-                cmax=split.cmax,
-                phase_a_ar=split.phase_a.ar,
-                phase_b_ar=split.phase_b.ar,
-            )
+            run = split.best
+            record.update(phase_a_ar=split.phase_a.ar, phase_b_ar=split.phase_b.ar)
         else:  # qaoa_adaptive
             result = qaoa_adaptive(
                 backends, wl.graph, qcfg, seed=seed, **config.options
             )
+            run = result.best
             record["selected"] = result.selected
             record["probe_ars"] = {k: list(v) for k, v in result.probe_ars.items()}
-            _qaoa_record_fields(record, result.final)
-            record["ar"] = result.ar
+        record.update(
+            ar=run.ar,
+            cmax=run.cmax,
+            best_expectation=run.best_expectation,
+            gamma=list(run.best_params.gamma),
+            beta=list(run.best_params.beta),
+        )
         return
 
     if mode == "none":

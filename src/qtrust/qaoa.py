@@ -236,10 +236,9 @@ class _BudgetExhausted(Exception):
 class _Objective:
     """Counts evaluations, remembers the incumbent and the trace."""
 
-    def __init__(self, backend, graph, p, shots, seed, budget):
+    def __init__(self, backend, graph, shots, seed, budget):
         self.backend = backend
         self.graph = graph
-        self.p = p
         self.shots = shots
         self.seed = seed
         self.budget = budget
@@ -331,9 +330,9 @@ def _simplex_search(objective: _Objective, x0: np.ndarray, rng, step: float = 0.
 def optimize(
     backend: BackendModel,
     graph: Graph,
-    p: int = 1,
-    iterations: int = 50,
-    shots_per_iter: int = 50,
+    p: int = QaoaConfig.p,
+    iterations: int = QaoaConfig.iterations,
+    shots_per_iter: int = QaoaConfig.shots_per_iter,
     seed: int = 0,
     init_params: QaoaParams | None = None,
 ) -> QaoaRunRecord:
@@ -345,7 +344,7 @@ def optimize(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    objective = _Objective(backend, graph, p, shots_per_iter, seed, iterations)
+    objective = _Objective(backend, graph, shots_per_iter, seed, iterations)
     rng = derive_rng(seed, "simplex")
     x0 = init_params.to_vector() if init_params is not None else _initial_point(p, rng)
     _simplex_search(objective, x0, rng)

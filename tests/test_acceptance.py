@@ -312,7 +312,7 @@ def test_criterion_09_qaoa_tamper_trend():
             optimize(tampered_bk, graph, iterations=50, shots_per_iter=50, seed=seed).ar
         )
         ar_split.append(
-            qaoa_iteration_split(clean_bk, tampered_bk, graph, config, seed).ar
+            qaoa_iteration_split(clean_bk, tampered_bk, graph, config, seed).best.ar
         )
     m_clean = statistics.fmean(ar_clean)
     m_tampered = statistics.fmean(ar_tampered)

@@ -2,7 +2,7 @@ import statistics
 
 import pytest
 
-from qtrust import simulator
+from qtrust import defense, simulator
 from qtrust.adversary import TamperMode, TamperSpec
 from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
@@ -17,7 +17,7 @@ from qtrust.defense import (
     select_backend,
 )
 from qtrust.metrics import pm
-from qtrust.qaoa import Graph, QaoaConfig
+from qtrust.qaoa import Graph, QaoaConfig, QaoaParams, QaoaRunRecord
 from qtrust.simulator import prepare
 
 READOUT = (0.02, 0.02)
@@ -239,7 +239,7 @@ def test_iteration_split_budget_and_ar():
     assert len(record.phase_a.trace) == 10
     assert len(record.phase_b.trace) == 10
     best = max(record.phase_a.best_expectation, record.phase_b.best_expectation)
-    assert record.ar == pytest.approx(best / record.cmax)
+    assert record.best.ar == pytest.approx(best / record.best.cmax)
 
 
 def test_iteration_split_needs_even_budget():
@@ -269,6 +269,52 @@ def test_qaoa_adaptive_accounting():
     assert result.selected in ("hw_a", "hw_b")
 
 
+def _stub_optimize(monkeypatch, expectations):
+    """Make `defense.optimize` return one run per call, with the given best
+    expectations in call order on a graph whose best cut is 4."""
+    runs = []
+
+    def stub(backend, graph, p, iterations, shots_per_iter, seed, init_params=None):
+        value = expectations[len(runs)]
+        params = QaoaParams((0.1 * len(runs),), (0.2,))
+        runs.append(QaoaRunRecord(params, [value], value / 4, 4, value))
+        return runs[-1]
+
+    monkeypatch.setattr(defense, "optimize", stub)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "phase_a, phase_b, winner", [(3.0, 2.0, 0), (2.0, 3.0, 1), (3.0, 3.0, 0)]
+)
+def test_iteration_split_answer_is_the_better_phase(
+    monkeypatch, phase_a, phase_b, winner
+):
+    runs = _stub_optimize(monkeypatch, [phase_a, phase_b])
+    record = qaoa_iteration_split(
+        clean(), tampered(), graph_c4(), QaoaConfig(iterations=4), seed=0
+    )
+    assert (record.phase_a, record.phase_b) == (runs[0], runs[1])
+    assert record.best is runs[winner]  # phase A wins a tie
+
+
+@pytest.mark.parametrize(
+    "final, answer", [(2.0, "probe"), (3.0, "final"), (3.5, "final")]
+)
+def test_qaoa_adaptive_answer_is_the_final_run_unless_a_probe_beats_it(
+    monkeypatch, final, answer
+):
+    # hw_a's probes (1, 3) outrank hw_b's (1, 1); its best probe reads 3
+    runs = _stub_optimize(monkeypatch, [1.0, 3.0, 1.0, 1.0, final])
+    result = qaoa_adaptive(
+        [clean(), tampered()], graph_c4(), QaoaConfig(iterations=5),
+        probe_iterations=1, probe_runs=2, seed=0,
+    )
+    assert result.selected == "hw_a"
+    assert result.final is runs[4]
+    assert result.best is {"probe": runs[1], "final": runs[4]}[answer]
+
+
 def test_qaoa_adaptive_budget_guard():
     with pytest.raises(InsufficientShots):
         qaoa_adaptive(
@@ -283,4 +329,4 @@ def test_qaoa_adaptive_deterministic():
     a = qaoa_adaptive([clean(), tampered()], graph_c4(), config, **kwargs)
     b = qaoa_adaptive([clean(), tampered()], graph_c4(), config, **kwargs)
     assert a.selected == b.selected
-    assert a.ar == b.ar
+    assert a.best.ar == b.best.ar

@@ -258,6 +258,30 @@ def test_cli_unread_option_exits_2(tmp_path, capsys):
     assert not (tmp_path / "results.jsonl").exists()
 
 
+def test_qaoa_shots_sweep_is_config_error():
+    cfg = _mode_config("qaoa_split")
+    cfg["shots_sweep"] = [50, 100]
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    assert str(err.value) == "/shots_sweep: a qaoa workload does not read shots"
+    # a sampling sweep, and a QAOA config that sets only shots, still load
+    assert load_config(base_config(shots_sweep=[50, 100])).shots_sweep == (50, 100)
+    assert load_config(_mode_config("qaoa_split")).shots_sweep == (1000,)
+
+
+def test_cli_qaoa_shots_sweep_exits_2(tmp_path, capsys):
+    # this config once ran two cells per seed that differed only in seed
+    cfg = _mode_config("qaoa_adaptive")
+    cfg["shots_sweep"] = [50, 100]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "results.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: /shots_sweep: a qaoa workload does not read shots\n"
+    assert not out.exists()
+
+
 def test_qaoa_adaptive_default_probes_at_the_budget_edge():
     # default probes: 2 backends x 2 runs x 5 iterations = 20 iterations,
     # so the harness's budget check and the defense agree on the defaults
@@ -968,6 +992,24 @@ def test_qaoa_adaptive_defense():
     (record,) = records
     assert set(record["probe_ars"]) == {"hw_a", "hw_b"}
     assert record["selected"] in ("hw_a", "hw_b")
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("mode", ["none", "qaoa_split", "qaoa_adaptive"])
+def test_qaoa_record_fields_describe_one_run(mode, p):
+    # at --seed 0 the CI config's qaoa_adaptive AR came from a probe run
+    # while best_expectation, gamma and beta came from the final run
+    raw = json.loads((DATA / "ci_qaoa.json").read_text())
+    raw["workload"]["qaoa"]["p"] = p
+    if mode != "qaoa_adaptive":  # else the file's own mode and probes
+        raw["defense"] = {"mode": mode}
+    for master_seed in (0, 1, 3):
+        config = load_config(dict(raw, master_seed=master_seed))
+        records, errors = run_experiment(config)
+        assert errors == [] and records
+        for r in records:
+            assert r["ar"] == r["best_expectation"] / r["cmax"]
+            assert len(r["gamma"]) == len(r["beta"]) == p
 
 
 def test_failing_cell_reported_not_raised():
