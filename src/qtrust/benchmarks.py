@@ -21,7 +21,6 @@ class UnknownBenchmark(KeyError):
 class Benchmark:
     circuit: Circuit
     expected_output: str
-    name: str
 
 
 def _cu1(b: CircuitBuilder, lam: float, control: int, target: int) -> None:
@@ -56,7 +55,7 @@ def _toffoli_n3() -> Benchmark:
     b.gate(GateKind.X, 1)
     b.gate(GateKind.CCX, 0, 1, 2)
     b.measure_all()
-    return Benchmark(b.build(), "111", "toffoli_n3")
+    return Benchmark(b.build(), "111")
 
 
 def _fredkin_n3() -> Benchmark:
@@ -68,7 +67,7 @@ def _fredkin_n3() -> Benchmark:
     b.gate(GateKind.CCX, 0, 1, 2)
     b.gate(GateKind.CX, 2, 1)
     b.measure_all()
-    return Benchmark(b.build(), "101", "fredkin_n3")
+    return Benchmark(b.build(), "101")
 
 
 def _grover_n2() -> Benchmark:
@@ -84,7 +83,7 @@ def _grover_n2() -> Benchmark:
     b.gate(GateKind.H, 0)
     b.gate(GateKind.H, 1)
     b.measure_all()
-    return Benchmark(b.build(), "11", "grover_n2")
+    return Benchmark(b.build(), "11")
 
 
 def _grover_n3() -> Benchmark:
@@ -104,7 +103,7 @@ def _grover_n3() -> Benchmark:
         for q in range(3):
             b.gate(GateKind.H, q)
     b.measure_all()
-    return Benchmark(b.build(), "111", "grover_n3")
+    return Benchmark(b.build(), "111")
 
 
 def _adder_n4() -> Benchmark:
@@ -117,7 +116,7 @@ def _adder_n4() -> Benchmark:
     b.gate(GateKind.CX, 2, 3)
     _uma(b, 0, 1, 2)
     b.measure_all()
-    return Benchmark(b.build(), "1100", "adder_n4")
+    return Benchmark(b.build(), "1100")
 
 
 def _inverseqft_n4() -> Benchmark:
@@ -136,7 +135,7 @@ def _inverseqft_n4() -> Benchmark:
             _cu1(b, -math.pi / 2 ** (target - control), control, target)
         b.gate(GateKind.H, target)
     b.measure_all()
-    return Benchmark(b.build(), "0101", "inverseqft_n4")
+    return Benchmark(b.build(), "0101")
 
 
 def _hs4_n4() -> Benchmark:
@@ -153,7 +152,7 @@ def _hs4_n4() -> Benchmark:
         b.gate(GateKind.H, q)
     for q in range(3):
         b.measure(q, q)
-    return Benchmark(b.build(), "101", "hs4_n4")
+    return Benchmark(b.build(), "101")
 
 
 def _adder_n10() -> Benchmark:
@@ -175,7 +174,7 @@ def _adder_n10() -> Benchmark:
     _uma(b, 5, 2, 6)
     _uma(b, 0, 1, 5)
     b.measure_all()
-    return Benchmark(b.build(), "0010110110", "adder_n10")
+    return Benchmark(b.build(), "0010110110")
 
 
 def _multiply_n13() -> Benchmark:
@@ -201,7 +200,7 @@ def _multiply_n13() -> Benchmark:
         b.gate(GateKind.CCX, a0, bj, t0)
         b.gate(GateKind.CCX, a1, bj, t1)
     b.measure_all()
-    return Benchmark(b.build(), "0000111110111", "multiply_n13")
+    return Benchmark(b.build(), "0000111110111")
 
 
 _BUILDERS = {

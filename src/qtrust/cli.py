@@ -55,14 +55,10 @@ def _cmd_run(args) -> int:
     from .harness import ConfigError, load_config, run_experiment
 
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, master_seed=args.seed)
     except (ConfigError, report.IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        from dataclasses import replace
-
-        config = replace(config, master_seed=args.seed)
     records, errors = run_experiment(config, jobs=args.jobs)
     out = Path(args.out or config.out or "results.jsonl")
     summary = out.with_suffix(".summary.csv")

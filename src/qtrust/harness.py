@@ -20,7 +20,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from pathlib import Path
 
 from .adversary import TamperError, TamperMode, TamperSpec
@@ -37,7 +36,15 @@ from .defense import (
     qaoa_iteration_split,
 )
 from .metrics import Counts, pm, ranked, top_outcome, tvd
-from .qaoa import Graph, GraphError, QaoaConfig, optimize, random_regular_graph
+from .qaoa import (
+    Graph,
+    GraphError,
+    QaoaConfig,
+    QaoaParams,
+    build_qaoa_circuit,
+    optimize,
+    random_regular_graph,
+)
 from .qasm import QasmError, parse_qasm
 # summarize, write_csv and write_jsonl: bench/worker.py calls them as harness.*
 from .report import IoError, record_key, summarize, write_csv, write_jsonl
@@ -369,21 +376,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     master_seed: int
     out: str | None
-    canonical: str  # the loaded JSON with sorted keys and no spaces
-
-    @cached_property
-    def experiment_id(self) -> str:
-        """Hash of the config as it is run: its JSON, with the master seed
-        put in when the run's differs from the file's own."""
-        canonical = self.canonical
-        raw = json.loads(canonical)
-        if self.master_seed != raw.get("master_seed", 0):
-            canonical = _sorted_json({**raw, "master_seed": self.master_seed})
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def _sorted_json(raw: dict) -> str:
-    return json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    experiment_id: str
 
 
 def _build_workload(raw: dict, base_dir: Path) -> Workload:
@@ -393,7 +386,7 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
         except KeyError:
             raise ConfigError(f"/workload/builtin: unknown builtin {raw['builtin']!r}")
         return Workload(
-            "sample", bench.name, prepare(bench.circuit), bench.expected_output
+            "sample", bench.circuit.name, prepare(bench.circuit), bench.expected_output
         )
     if "qasm" in raw:
         path = base_dir / raw["qasm"]
@@ -410,6 +403,8 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
     spec = raw["qaoa"]
     try:
         if "edges" in spec:
+            unread = [key for key in spec if key in ("degree", "graph_seed")]
+            _check_reads("/workload/qaoa", "edges", unread, ())
             graph = Graph.from_edges(spec["nodes"], [tuple(e) for e in spec["edges"]])
         elif "degree" in spec:
             graph = random_regular_graph(
@@ -465,10 +460,10 @@ def _check_widths(backends, workload: Workload) -> None:
     """Every backend needs a readout pair for every measured qubit, and a
     tamper subset no wider than the measured lines."""
     if workload.kind == "qaoa":
-        width, last = workload.graph.n, workload.graph.n - 1
+        pairs = build_qaoa_circuit(workload.graph, QaoaParams((), ())).measured_pairs
     else:
         pairs = workload.prepared.measured_pairs
-        width, last = len(pairs), max(q for q, _ in pairs)
+    width, last = len(pairs), max(q for q, _ in pairs)
     for i, backend in enumerate(backends):
         try:
             backend.pair_for(last)
@@ -482,11 +477,13 @@ def _check_widths(backends, workload: Workload) -> None:
             raise ConfigError(f"/backends/{i}/tamper/k: {exc}")
 
 
-def load_config(source: dict | str | Path, base_dir: Path | None = None) -> ExperimentConfig:
-    """Parse and validate an experiment config (dict or JSON file path)."""
+def load_config(source: dict | str | Path, master_seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment config (dict or JSON file path);
+    ``master_seed`` (``qtrust run --seed``) overrides the config's own, and
+    ``experiment_id`` hashes the config as run, with it when they differ."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        base_dir = base_dir or path.parent
+        base_dir = path.parent
         try:
             raw = json.loads(path.read_text())
         except OSError as exc:
@@ -495,7 +492,7 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
             raise ConfigError(f"/: invalid JSON: {exc}")
     else:
         raw = source
-        base_dir = base_dir or Path.cwd()
+        base_dir = Path.cwd()
     error = next(_errors(CONFIG_SCHEMA, raw), None)
     if error is not None:
         path, message = error
@@ -530,6 +527,13 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
     if workload.kind == "qaoa" and "shots_sweep" in raw:
         # the QAOA modes read shots_per_iter; a sweep would only reseed cells
         raise ConfigError("/shots_sweep: a qaoa workload does not read shots")
+    if "t_sweep" in raw and all(b.tamper is None for b in backends):
+        # _with_t overrides t on tampered backends only; a sweep would only reseed
+        raise ConfigError("/t_sweep: no backend is tampered")
+    own_seed = raw.get("master_seed", 0)
+    master_seed = own_seed if master_seed is None else master_seed
+    as_run = raw if master_seed == own_seed else {**raw, "master_seed": master_seed}
+    canonical = json.dumps(as_run, sort_keys=True, separators=(",", ":"))
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
     return ExperimentConfig(
@@ -540,9 +544,9 @@ def load_config(source: dict | str | Path, base_dir: Path | None = None) -> Expe
         defense=mode,
         options=options,
         seeds=tuple(raw["seeds"]),
-        master_seed=raw.get("master_seed", 0),
+        master_seed=master_seed,
         out=raw.get("out"),
-        canonical=_sorted_json(raw),
+        experiment_id=hashlib.sha256(canonical.encode()).hexdigest()[:12],
     )
 
 

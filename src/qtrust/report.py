@@ -233,7 +233,7 @@ def _rows_table6(records):
                         "backend": name,
                         "probe_ars": " ".join(f"{a:.4f}" for a in ars),
                         "selected": r["selected"] == name,
-                        "final_ar": r["ar"] if r["selected"] == name else None,
+                        "ar": r["ar"] if r["selected"] == name else None,
                     }
                 )
     return rows

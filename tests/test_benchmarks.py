@@ -31,7 +31,12 @@ def test_unknown_name():
 
 
 def test_large_flag_gates_lookup():
-    assert builtin("adder_n10").name == "adder_n10"
+    assert builtin("adder_n10").circuit.name == "adder_n10"
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_builtin_is_named_by_its_circuit(name):
+    assert builtin(name).circuit.name == name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

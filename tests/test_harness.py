@@ -282,6 +282,36 @@ def test_cli_qaoa_shots_sweep_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_qaoa_graph_seed_beside_edges_is_config_error():
+    # an edge list is the graph; degree and graph_seed are read without one
+    edges = {"nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+    with pytest.raises(ConfigError) as err:
+        load_config(base_config(workload={"qaoa": {**edges, "graph_seed": 5}}))
+    assert str(err.value) == "/workload/qaoa/graph_seed: edges does not read graph_seed"
+    for spec in (edges, {"nodes": 4, "degree": 3, "graph_seed": 5}):
+        assert load_config(base_config(workload={"qaoa": spec})).workload.graph.n == 4
+
+
+# configs that once ran and ignored a field: a t_sweep with no tampered
+# backend, and a degree and graph_seed beside an edge list
+UNREAD_FIELDS = {
+    "untampered_t_sweep": "/t_sweep: no backend is tampered",
+    "qaoa_edges_and_degree": "/workload/qaoa/degree: edges does not read degree",
+}
+
+
+@pytest.mark.parametrize("name", UNREAD_FIELDS)
+def test_cli_unread_field_exits_2(tmp_path, capsys, name):
+    config = DATA / f"{name}.json"
+    with pytest.raises(ConfigError) as err:
+        load_config(config)
+    assert str(err.value) == UNREAD_FIELDS[name]
+    out = tmp_path / "results.jsonl"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {UNREAD_FIELDS[name]}\n"
+    assert not out.exists()
+
+
 def test_qaoa_adaptive_default_probes_at_the_budget_edge():
     # default probes: 2 backends x 2 runs x 5 iterations = 20 iterations,
     # so the harness's budget check and the defense agree on the defaults
@@ -1253,6 +1283,7 @@ def test_cli_seed_override_changes_the_experiment_id(tmp_path, file_seed):
         argv = ["run", "--config", str(cfg_path), "--out", str(out)]
         assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
         (ids[seed],) = {record["experiment_id"] for record in read_jsonl(out)}
+        assert load_config(cfg_path, master_seed=seed).experiment_id == ids[seed]
     assert ids[None] == ids[own] == load_config(cfg_path).experiment_id
     assert len({ids[None], ids[own + 1], ids[own + 2]}) == 3
 

@@ -113,7 +113,7 @@ HEADERS = {
         "mean_inter_run_tvd,mean_confidence,voted_answer"
     ),
     "table5": "workload,t,ar_mean,phase_a_ar_mean,phase_b_ar_mean",
-    "table6": "workload,t,shots,seed,backend,probe_ars,selected,final_ar",
+    "table6": "workload,t,shots,seed,backend,probe_ars,selected,ar",
 }
 
 
@@ -309,7 +309,7 @@ def test_table6_one_selected_backend_per_cell(runs):
         assert {r["shots"] for r in block} == {str(record["shots"])}
         (chosen,) = [r for r in block if r["selected"] == "True"]
         assert chosen["backend"] == record["selected"]
-        assert float(chosen["final_ar"]) == record["ar"]
+        assert float(chosen["ar"]) == record["ar"]
         ars = record["probe_ars"][chosen["backend"]]
         assert chosen["probe_ars"] == " ".join(f"{a:.4f}" for a in ars)
 
