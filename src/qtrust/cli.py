@@ -30,14 +30,12 @@ def _cmd_parse(args) -> int:
 
     path = Path(args.path)
     try:
-        source = path.read_text()
+        circuit = parse_qasm(path.read_text(), name=path.stem)
+        dist = Counts(prepare(circuit).ideal)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        circuit = parse_qasm(source, name=path.stem)
-        dist = Counts(prepare(circuit).ideal)
-    except (QasmError, CircuitError) as exc:
+    except (UnicodeDecodeError, QasmError, CircuitError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 1
     print(f"name:        {circuit.name}")
@@ -105,7 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("--config", required=True, help="JSON config path")
-    p_run.add_argument("--seed", type=int, default=None, help="master seed override")
+    p_run.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="master seed override, checked like the config's master_seed",
+    )
     p_run.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_run.add_argument("--out", default=None, help="JSONL output path")
 

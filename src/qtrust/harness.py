@@ -218,8 +218,9 @@ CONFIG_SCHEMA = {
 #
 # _errors reads CONFIG_SCHEMA as plain data. It implements the keywords in
 # _KEYWORDS with JSON Schema (draft 2020-12) semantics and jsonschema's
-# messages, and adds one rule: a number or integer must be finite, because
-# Python's json reads NaN and Infinity. The tests compare it with jsonschema.
+# messages, and adds two rules, because Python's json reads NaN and Infinity
+# and reads 1.0 as a float: a number or integer must be finite, and an
+# integer must be an int. The tests compare it with jsonschema.
 
 
 def _is_number(value) -> bool:
@@ -231,8 +232,7 @@ _TYPES = {
     "array": lambda value: isinstance(value, list),
     "string": lambda value: isinstance(value, str),
     "number": _is_number,
-    "integer": lambda value: _is_number(value)
-    and (isinstance(value, int) or value.is_integer()),
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
 }
 
 # size keyword -> (the type it applies to, whether it is a lower limit,
@@ -392,7 +392,7 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
         path = base_dir / raw["qasm"]
         try:
             source = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"/workload/qasm: cannot read {path}: {exc}")
         try:
             prepared = prepare(parse_qasm(source, name=path.stem))
@@ -479,8 +479,9 @@ def _check_widths(backends, workload: Workload) -> None:
 
 def load_config(source: dict | str | Path, master_seed: int | None = None) -> ExperimentConfig:
     """Parse and validate an experiment config (dict or JSON file path);
-    ``master_seed`` (``qtrust run --seed``) overrides the config's own, and
-    ``experiment_id`` hashes the config as run, with it when they differ."""
+    ``master_seed`` (``qtrust run --seed``) overrides the config's own and
+    is checked like it, and ``experiment_id`` hashes the config as run,
+    with the override when they differ."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         base_dir = path.parent
@@ -488,11 +489,14 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
             raw = json.loads(path.read_text())
         except OSError as exc:
             raise IoError(str(exc))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"/: invalid JSON: {exc}")
     else:
         raw = source
         base_dir = Path.cwd()
+    if isinstance(raw, dict) and master_seed is not None:
+        if _canonical(master_seed) != _canonical(raw.get("master_seed", 0)):
+            raw = {**raw, "master_seed": master_seed}
     error = next(_errors(CONFIG_SCHEMA, raw), None)
     if error is not None:
         path, message = error
@@ -530,10 +534,7 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
     if "t_sweep" in raw and all(b.tamper is None for b in backends):
         # _with_t overrides t on tampered backends only; a sweep would only reseed
         raise ConfigError("/t_sweep: no backend is tampered")
-    own_seed = raw.get("master_seed", 0)
-    master_seed = own_seed if master_seed is None else master_seed
-    as_run = raw if master_seed == own_seed else {**raw, "master_seed": master_seed}
-    canonical = json.dumps(as_run, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
     return ExperimentConfig(
@@ -544,7 +545,7 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
         defense=mode,
         options=options,
         seeds=tuple(raw["seeds"]),
-        master_seed=master_seed,
+        master_seed=raw.get("master_seed", 0),
         out=raw.get("out"),
         experiment_id=hashlib.sha256(canonical.encode()).hexdigest()[:12],
     )

@@ -51,20 +51,12 @@ def _width(vec: np.ndarray) -> int:
     return vec.size.bit_length() - 1
 
 
-_LOOP_BELOW = 32  # shorter sums run faster as a Python loop
-
-
 def _ordered_sum(values):
     """``values`` (an array or a sequence) added strictly left to right, as
     ``acc = acc + x`` does, so records keep their bits on every Python:
     numpy's ``.sum()`` adds pairwise, and since 3.12 Python's ``sum``
     compensates float rounding (CPython gh-100425)."""
-    if len(values) >= _LOOP_BELOW:
-        return np.add.accumulate(values).item(-1)  # sequential too
-    acc = 0
-    for x in values.tolist() if isinstance(values, np.ndarray) else values:
-        acc = acc + x
-    return acc
+    return np.add.accumulate(values).item(-1) if len(values) else 0
 
 
 def ranked(hist: Counts, k: int | None = None) -> list[tuple]:

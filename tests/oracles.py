@@ -394,8 +394,19 @@ def circuit_objective(self, x) -> float:
     return value
 
 
+# draft 2020-12 with the config checker's integer rule: an int, not 1.0
+_IntOnlyValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer",
+        lambda _, value: isinstance(value, int) and not isinstance(value, bool),
+    ),
+)
+
+
 def jsonschema_error_paths(schema: dict, value) -> set[tuple]:
     """The ``absolute_path`` of every error jsonschema's draft 2020-12
-    validator reports; empty when it accepts ``value``."""
-    validator = jsonschema.Draft202012Validator(schema)
+    validator, with integers limited to ints, reports; empty when it
+    accepts ``value``."""
+    validator = _IntOnlyValidator(schema)
     return {tuple(error.absolute_path) for error in validator.iter_errors(value)}

@@ -532,6 +532,45 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, path, value, pointe
     assert f"config error: {pointer}:" in capsys.readouterr().err
 
 
+# Python's json reads 1.0 as a float; past the load, a float at an integer
+# position raised a traceback (nodes), failed every cell (tamper k) or wrote
+# records that qtrust report rejects (shots)
+FLOAT_INTEGERS = {
+    "qaoa_nodes": (
+        json.loads((DATA / "float_qaoa_nodes.json").read_text()),
+        "/workload/qaoa/nodes: 4.0 is not of type 'integer'",
+    ),
+    "tamper_k": (
+        base_config(
+            backends=[
+                {"name": "hw_a"},
+                {
+                    "name": "hw_b",
+                    "tamper": {"mode": "random_subset", "t": 0.5, "k": 2.0},
+                },
+            ]
+        ),
+        "/backends/1/tamper/k: 2.0 is not of type 'integer'",
+    ),
+    "shots": (base_config(shots=1000.0), "/shots: 1000.0 is not of type 'integer'"),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, message", FLOAT_INTEGERS.values(), ids=list(FLOAT_INTEGERS)
+)
+def test_integral_float_is_config_error(tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == message
+    out = tmp_path / "results.jsonl"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()))
@@ -567,7 +606,7 @@ CHECKER_BASES = [
                 "tamper": {"mode": "random_subset", "t": 0.25, "k": 2},
             },
         ],
-        shots_sweep=[10, 20.0],
+        shots_sweep=[10, 20],
         t_sweep=[0, 0.5, 1.0],
         defense={
             "mode": "adaptive",
@@ -685,6 +724,39 @@ def test_checker_bases_are_valid():
     for doc in CHECKER_BASES:
         assert next(harness._errors(harness.CONFIG_SCHEMA, doc), None) is None
         assert not jsonschema_error_paths(harness.CONFIG_SCHEMA, doc)
+
+
+def _integer_positions(schema, value, path=()):
+    """(path, schema) of every value in ``value`` at an integer position."""
+    if schema.get("type") == "integer":
+        yield path, schema
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from _integer_positions(schema["items"], item, (*path, i))
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                yield from _integer_positions(properties[key], item, (*path, key))
+
+
+def test_float_twin_of_every_integer_is_the_first_error():
+    filled = set()
+    for base in CHECKER_BASES:
+        for path, schema in _integer_positions(harness.CONFIG_SCHEMA, base):
+            filled.add(id(schema))
+            doc = copy.deepcopy(base)
+            *parents, key = path
+            target = doc
+            for parent in parents:
+                target = target[parent]
+            target[key] = float(target[key])
+            message = f"{target[key]!r} is not of type 'integer'"
+            assert next(harness._errors(harness.CONFIG_SCHEMA, doc)) == (path, message)
+    integers = [
+        s for s in _subschemas(harness.CONFIG_SCHEMA) if s.get("type") == "integer"
+    ]
+    assert filled == set(map(id, integers))
 
 
 @given(st.data())
@@ -1258,6 +1330,32 @@ def test_cli_duplicate_qubit_names_its_line(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith(f"error: {path}: line 1: duplicate qubit")
 
 
+LATIN_1 = "// caf\xe9\n"  # a byte that is not UTF-8
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes((LATIN_1 + json.dumps(base_config())).encode("latin-1"))
+    with pytest.raises(ConfigError, match="^/: invalid JSON: 'utf-8' codec"):
+        load_config(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: /: invalid JSON: ")
+
+
+def test_qasm_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    path = tmp_path / "t.qasm"
+    path.write_bytes((LATIN_1 + (DATA / "bell.qasm").read_text()).encode("latin-1"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(workload={"qasm": "t.qasm"})))
+    pointer = f"/workload/qasm: cannot read {path}: 'utf-8' codec"
+    with pytest.raises(ConfigError, match=f"^{re.escape(pointer)}"):
+        load_config(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {pointer}")
+    assert main(["parse", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec")
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config(seeds=[0])))
@@ -1286,6 +1384,20 @@ def test_cli_seed_override_changes_the_experiment_id(tmp_path, file_seed):
         assert load_config(cfg_path, master_seed=seed).experiment_id == ids[seed]
     assert ids[None] == ids[own] == load_config(cfg_path).experiment_id
     assert len({ids[None], ids[own + 1], ids[own + 2]}) == 3
+
+
+def test_cli_seed_override_is_checked_like_the_file_value(tmp_path, capsys):
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--config", str(DATA / "ci_adaptive.json"), "--out", str(out)]
+    assert main(argv + ["--seed", "-3"]) == 2
+    message = "/master_seed: -3 is less than the minimum of 0"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    # a bool or numpy integer fails even where it equals the file's seed
+    for own in ({}, {"master_seed": 1}, {"master_seed": [1, 2]}):
+        for seed in (True, 2.5, np.int64(1)):
+            with pytest.raises(ConfigError, match="^/master_seed: "):
+                load_config(base_config(**own), master_seed=seed)
 
 
 def test_cli_parse(capsys):
