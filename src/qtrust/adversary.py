@@ -3,8 +3,10 @@ measured-bit distributions.
 
 Tampering and readout error are one tensored bit-flip map with different
 probabilities: ``flip_channel`` on a dense outcome vector, such as the
-``vector`` of a ``metrics.Counts``. Line i is the i-th character from the
-right of a key (q_i under the q_{n-1}...q_0 convention), bit i of an index.
+``vector`` of a ``metrics.Counts``, one ``gates.apply_lines`` call (one
+pass per line up to 4 lines, one per block of 4 lines wider). Line i is
+the i-th character from the right of a key (q_i under the
+q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .gates import apply_lines
 from .metrics import Counts, ranked
 
 
@@ -102,10 +105,21 @@ def flip_channel(
 ) -> np.ndarray:
     """Apply [[1-p01, p10], [p01, 1-p10]] along line i for each
     ``i: (p01, p10)`` in ``flips``; ``probs`` is indexed by integer outcome.
+    A line outside the vector's lines raises ``TamperError``.
     """
+    width = probs.size.bit_length() - 1
+    lines, entries = [], []
     for line, (p01, p10) in flips.items():
-        if p01 == 0.0 and p10 == 0.0:
-            continue
-        m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-        probs = (m @ probs.reshape(-1, 2, 1 << line)).reshape(-1)
-    return probs
+        if not 0 <= line < width:
+            raise TamperError(f"line {line} outside the {width} lines [0, {width})")
+        if p01 != 0.0 or p10 != 0.0:
+            lines.append(line)
+            entries += (1.0 - p01, p10, p01, 1.0 - p10)
+    if not lines:
+        return probs
+    # one array for all the maps: at 4 lines, building a 2x2 array per
+    # line cost as much as applying it
+    mats: list[np.ndarray | None] = [None] * width
+    for line, m in zip(lines, np.array(entries).reshape(-1, 2, 2)):
+        mats[line] = m
+    return apply_lines(probs, mats)

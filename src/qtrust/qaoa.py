@@ -5,7 +5,8 @@ optimizer tolerant of shot noise.
 An objective evaluation evolves no gates for its noise-free vector:
 ``probabilities`` computes the measured vector of the QAOA circuit
 directly, the cost layer as one phase multiply over ``Graph.cuts`` and the
-mixer as in-place slice updates. On a backend without gate noise
+mixer as one ``gates.apply_lines`` call (RX(2 beta) on every line, in
+blocks of 4 lines above n = 4). On a backend without gate noise
 ``execute`` gets that vector as a ``Prepared`` with the circuit's measured
 lines alone, read once per ``optimize`` from a circuit of no layers; on a
 gate-noise backend it gets the built circuit of each evaluation, whose
@@ -21,6 +22,7 @@ import numpy as np
 
 from .backend import BackendModel
 from .circuit import Circuit, CircuitBuilder, GateKind, CapacityExceeded
+from .gates import apply_lines
 from .metrics import Counts, _ordered_sum
 from .rng import derive_rng, derive_seed
 from .simulator import Prepared, execute
@@ -149,29 +151,18 @@ def probabilities(graph: Graph, params: QaoaParams) -> np.ndarray:
 
     From the uniform state, each layer multiplies by the cost phase
     ``exp(-i gamma (|E| - 2 cuts))``, which the CX-RZ-CX ladder applies
-    edge by edge, then applies ``RX(2 beta)`` to every qubit as two slice
-    updates of the state.
+    edge by edge, then applies ``RX(2 beta)`` to every qubit through
+    ``gates.apply_lines``.
     """
     n = graph.n
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
     energy = len(graph.edges) - 2.0 * graph.cuts
-    buffer = np.empty_like(state)
-    half = buffer.size // 2
+    phase = np.empty_like(state)
     for gamma, beta in zip(params.gamma, params.beta):
-        np.multiply(energy, -1j * gamma, out=buffer)
-        state *= np.exp(buffer, out=buffer)
-        c, m = math.cos(beta), -1j * math.sin(beta)  # RX(2 beta) = [[c, m], [m, c]]
-        for q in range(n):
-            pairs = state.reshape(-1, 2, 1 << q)  # axis 1 is bit q
-            low, high = pairs[:, 0], pairs[:, 1]
-            m_low = buffer[:half].reshape(low.shape)
-            m_high = buffer[half:].reshape(low.shape)
-            np.multiply(low, m, out=m_low)
-            np.multiply(high, m, out=m_high)
-            low *= c
-            low += m_high
-            high *= c
-            high += m_low
+        np.multiply(energy, -1j * gamma, out=phase)
+        state *= np.exp(phase, out=phase)
+        c, m = math.cos(beta), -1j * math.sin(beta)
+        state = apply_lines(state, [np.array([[c, m], [m, c]])] * n)  # RX(2 beta)
     probs = np.abs(state) ** 2
     if __debug__:  # stands in for the per-gate norm check of the circuit path
         mass = probs.sum()

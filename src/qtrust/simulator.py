@@ -8,15 +8,17 @@ its noise-free vector; the QAOA objective builds its ``Prepared`` from
 ``qaoa.probabilities`` instead. A ``Circuit`` measures each qubit after its
 last gate, so ``_evolve`` runs ``circuit.gates`` on one state array and one
 gather buffer (X, CX, SWAP and CCX swap two slices in place, any other gate
-is one ``matmul``) and then sums out the unmeasured qubits. Gate noise
-evolves each distinct Pauli error pattern of a run once (Monte-Carlo
-wavefunction trajectories weighted by how often each pattern was drawn),
-many per ``_evolve`` along a leading batch axis; one ``random()`` per
-(trajectory, gate, qubit) picks the hit and its Pauli. The resulting
-vector, indexed by the integer outcome, runs through readout and tamper
-flips (both ``adversary.flip_channel``) to the multinomial draw; every
-result is a ``metrics.Counts``. Keys follow the q_{n-1}...q_0 convention;
-line 0 is the rightmost character.
+is one ``matmul``) and then sums out the unmeasured qubits over a C-ordered
+copy with the measured qubits first, in one order whatever layout the
+gates left. Gate noise evolves each distinct Pauli error pattern of a run
+once (Monte-Carlo wavefunction trajectories weighted by how often each
+pattern was drawn), many per ``_evolve`` along a leading batch axis; one
+``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
+The resulting vector, indexed by the integer outcome, runs through
+readout and tamper flips (two ``adversary.flip_channel`` calls, each one
+``gates.apply_lines`` pass per block of 4 lines above 4 lines) to the
+multinomial draw; every result is a ``metrics.Counts``. Keys follow the
+q_{n-1}...q_0 convention; line 0 is the rightmost character.
 """
 from __future__ import annotations
 
@@ -167,7 +169,9 @@ def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray
     probs **= 2
     front = [n - q for q, _ in pairs]  # output order, clbit descending
     rest = [a for a in range(1, n + 1) if a not in front]
-    probs = np.transpose(probs, [0] + front + rest)
+    # a C-ordered copy, so the sum's order does not depend on the memory
+    # order the last dense gate left
+    probs = np.ascontiguousarray(np.transpose(probs, [0] + front + rest))
     return probs.reshape(batch, 2 ** len(front), -1).sum(axis=2)
 
 

@@ -7,7 +7,9 @@ kernel, so the two can cross-check each other. Gate matrices are restated
 here from their textbook definitions instead of being imported.
 ``tensordot_apply`` is the simulator's earlier gate kernel, kept as the
 reference for the in-place one, and ``per_call_errors`` the trajectory
-error stream drawn one scalar ``random()`` at a time.
+error stream drawn one scalar ``random()`` at a time. ``per_line_apply``
+is the one-pass-per-line loop that ``flip_channel`` and the QAOA mixer
+ran before ``gates.apply_lines``.
 ``circuit_objective`` is the QAOA objective that evolved the built
 circuit in every evaluation. jsonschema
 is the reference for the config checker; qtrust itself does not import it.
@@ -233,6 +235,15 @@ def per_call_errors(circuit, p: float, rng) -> dict:
         if hits:
             errors[index] = hits
     return errors
+
+
+def per_line_apply(vec: np.ndarray, mats) -> np.ndarray:
+    """``mats[i]`` (None: the identity) along line i of ``vec``, one
+    ``matmul`` pass per line, lowest line first."""
+    for line, m in enumerate(mats):
+        if m is not None:
+            vec = (m @ vec.reshape(-1, 2, 1 << line)).reshape(-1)
+    return vec
 
 
 def flip_monte_carlo(

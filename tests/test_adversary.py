@@ -55,6 +55,13 @@ def test_lines_out_of_range_rejected():
         flip_channel(as_counts({"01": 1.0}).vector, spec.flips(2))
 
 
+@pytest.mark.parametrize("line", [5, -1])
+def test_flip_channel_rejects_a_line_outside_the_vector(line):
+    """A list-indexed kernel would read line -1 as the top line."""
+    with pytest.raises(TamperError, match=f"line {line} outside"):
+        flip_channel(as_counts({"01": 1.0}).vector, {line: (0.1, 0.1)})
+
+
 # --- targeted planning --------------------------------------------------------
 
 

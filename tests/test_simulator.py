@@ -76,6 +76,35 @@ def test_partial_measurement_marginalizes():
     assert dist["0"] == pytest.approx(0.5)
 
 
+def _ry_ladder(seed: int, last: int):
+    """Six qubits of random RY layers around a CX chain, then Z on qubits 0
+    and 5 with qubit ``last`` last; qubits 0 and 1 are measured."""
+    rng = np.random.default_rng(seed)
+    b = CircuitBuilder(6, 2)
+    angles = rng.uniform(0.0, 3.0, size=12).tolist()
+    for q in range(6):
+        b.gate(GateKind.RY, q, params=(angles[q],))
+    for q in range(5):
+        b.gate(GateKind.CX, q, q + 1)
+    for q in range(6):
+        b.gate(GateKind.RY, q, params=(angles[6 + q],))
+    for q in (5 - last, last):
+        b.gate(GateKind.Z, q)
+    b.measure(0, 0)
+    b.measure(1, 1)
+    return b.build()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_marginal_does_not_depend_on_the_last_gate_layout(seed):
+    """The Z gates commute exactly, but each dense gate leaves its qubit's
+    axis first in memory; summing out the four unmeasured qubits must not
+    follow that layout."""
+    a = prepare(_ry_ladder(seed, last=0)).ideal
+    b = prepare(_ry_ladder(seed, last=5)).ideal
+    assert np.array_equal(a, b)
+
+
 def test_clbit_order_defines_string_order():
     # qubit 0 is |1>, qubit 1 is |0>; swap the clbits
     b = CircuitBuilder(2, 2)
