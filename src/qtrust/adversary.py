@@ -76,8 +76,6 @@ class TamperSpec:
             return tuple(range(num_lines))
         if self.lines is None:
             raise UnresolvedTamperSpec(f"{self.mode.value} spec has no target lines")
-        if any(not 0 <= i < num_lines for i in self.lines):
-            raise TamperError(f"target lines {self.lines} outside [0, {num_lines})")
         return self.lines
 
     def flips(self, num_lines: int) -> dict[int, tuple[float, float]]:

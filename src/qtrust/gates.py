@@ -1,11 +1,10 @@
-"""Unitary matrices for the gates the simulator multiplies, and
-``apply_lines``, the one kernel for a 2x2 map along each line of a dense
-vector (readout, tamper and the QAOA mixer).
+"""Unitary matrices for the gates the simulator multiplies (H, T, TDG and
+the rotations), and ``apply_lines``, the one kernel for a 2x2 map along
+each line of a dense vector (readout, tamper and the QAOA mixer).
 
-X, CX, SWAP and CCX have none here: the simulator applies them, and X
-errors, by swapping slices of the state. Multi-qubit matrices are written
-in the basis |q_first q_second ...> where the first listed qubit is the
-most significant bit.
+X, Y, Z, S, SDG, CX, CZ, SWAP and CCX have none here: the simulator
+applies them, and every Pauli error, as slice swaps and phase flips of the
+state (``simulator._IN_PLACE``).
 """
 from __future__ import annotations
 
@@ -20,15 +19,9 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 _FIXED_1Q = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
     GateKind.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     GateKind.TDG: np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex),
 }
-
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -43,8 +36,8 @@ def u3(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
-    """Unitary of a gate that is not a permutation: H, Y, Z, S, SDG, T,
-    TDG, RX, RY, RZ, U1, U2, U3 and CZ."""
+    """Unitary of a gate the simulator multiplies: H, T, TDG, RX, RY, RZ,
+    U1, U2 and U3."""
     if kind in _FIXED_1Q:
         return _FIXED_1Q[kind]
     if kind is GateKind.RX:
@@ -62,8 +55,6 @@ def matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
         return u3(math.pi / 2, params[0], params[1])
     if kind is GateKind.U3:
         return u3(*params)
-    if kind is GateKind.CZ:
-        return CZ
     raise ValueError(f"{kind} has no matrix here")
 
 

@@ -630,14 +630,15 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
     else:
         if mode == "equal":
             counts, plan = equal_split(backends, wl.prepared, shots, seed)
-        else:  # adaptive
+            clean_mix = _clean_mixture(clean, plan.allocations)
+        else:  # adaptive: the answer holds the selected backend's shots alone
             counts, plan, report = adaptive_split(
                 backends, wl.prepared, shots, seed=seed, **config.options
             )
             record["probe"] = _probe_summary(report)
             record["selected"] = plan.selected
+            clean_mix = clean[plan.selected]
         record["allocations"] = list(plan.allocations)
-        clean_mix = _clean_mixture(clean, plan.allocations)
     top, confidence = top_outcome(counts)
     record.update(
         pm=_finite(pm(counts, wl.correct)),

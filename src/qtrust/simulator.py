@@ -7,13 +7,14 @@ is the one stage that takes a plain circuit and the one place that evolves
 its noise-free vector; the QAOA objective builds its ``Prepared`` from
 ``qaoa.probabilities`` instead. A ``Circuit`` measures each qubit after its
 last gate, so ``_evolve`` runs ``circuit.gates`` on one state array and one
-gather buffer (X, CX, SWAP and CCX swap two slices in place, any other gate
-is one ``matmul``) and then sums out the unmeasured qubits over a C-ordered
-copy with the measured qubits first, in one order whatever layout the
-gates left. Gate noise evolves each distinct Pauli error pattern of a run
-once (Monte-Carlo wavefunction trajectories weighted by how often each
-pattern was drawn), many per ``_evolve`` along a leading batch axis; one
-``random()`` per (trajectory, gate, qubit) picks the hit and its Pauli.
+gather buffer (a gate of ``_IN_PLACE`` swaps and phases slices in place,
+any other gate is one ``matmul``) and then sums out the unmeasured qubits
+over a C-ordered copy with the measured qubits first, in one order
+whatever layout the gates left. Gate noise evolves each distinct Pauli
+error pattern of a run once (Monte-Carlo wavefunction trajectories
+weighted by how often each pattern was drawn), many per ``_evolve`` along
+a leading batch axis; one ``random()`` per (trajectory, gate, qubit)
+picks the hit and its Pauli, which ``_apply`` runs as a gate.
 The resulting vector, indexed by the integer outcome, runs through
 readout and tamper flips (two ``adversary.flip_channel`` calls, each one
 ``gates.apply_lines`` pass per block of 4 lines above 4 lines) to the
@@ -39,14 +40,28 @@ from .rng import derive_rng, derive_seed
 PLAN_SHOTS = 10_000  # private clean run the adversary uses to pick targets
 
 
-# Permutation gates: the two basis states of the gate's qubits (bits in
-# listed order) that it exchanges; it leaves every other state alone.
-_SWAPS = {
-    GateKind.X: ((0,), (1,)),
-    GateKind.CX: ((1, 0), (1, 1)),
-    GateKind.SWAP: ((0, 1), (1, 0)),
-    GateKind.CCX: ((1, 1, 0), (1, 1, 1)),
+# Gates that swap at most two basis states of their qubits (bits in listed
+# order) and multiply some by -1, i or -i: the pair swapped, or None, and
+# each (basis state, phase) after the swap; other states stay as they are.
+_IN_PLACE = {
+    GateKind.X: (((0,), (1,)), ()),
+    GateKind.Y: (((0,), (1,)), (((0,), -1j), ((1,), 1j))),
+    GateKind.Z: (None, (((1,), -1.0),)),
+    GateKind.S: (None, (((1,), 1j),)),
+    GateKind.SDG: (None, (((1,), -1j),)),
+    GateKind.CX: (((1, 0), (1, 1)), ()),
+    GateKind.CZ: (None, (((1, 1), -1.0),)),
+    GateKind.SWAP: (((0, 1), (1, 0)), ()),
+    GateKind.CCX: (((1, 1, 0), (1, 1, 1)), ()),
 }
+
+
+def _slice(psi: np.ndarray, axes: list[int], bits) -> np.ndarray:
+    """The view of ``psi`` where axis ``axes[j]`` holds ``bits[j]``."""
+    index = [slice(None)] * psi.ndim
+    for axis, bit in zip(axes, bits):
+        index[axis] = bit
+    return psi[tuple(index)]
 
 
 def _apply(
@@ -60,23 +75,25 @@ def _apply(
     """Apply one gate on ``axes`` of ``psi``, the ``(B,) + (2,)*n`` view of
     B states in the flat ``state``; returns the view of ``state`` after it.
 
-    A permutation gate swaps the two slices of ``psi`` it exchanges, in
-    place and with no arithmetic, holding one in ``buffer``, and returns
-    ``psi``. Any other gate gathers ``psi`` into ``buffer`` with ``axes``
-    first in each state and writes one ``matmul`` of its 2^k x 2^k matrix
-    per state (the BLAS call it gets alone) into ``state``, so the state's
-    memory order changes and the returned view follows it.
+    A gate of ``_IN_PLACE`` swaps its slices of ``psi`` (holding one in
+    ``buffer``) and multiplies its phased ones in place, exactly, and
+    returns ``psi``. Any other gate gathers ``psi`` into ``buffer`` with
+    ``axes`` first in each state and writes one ``matmul`` of its 2^k x 2^k
+    matrix per state (the BLAS call it gets alone) into ``state``, so the
+    state's memory order changes and the returned view follows it.
     """
-    swap = _SWAPS.get(kind)
-    if swap is not None:
-        a, b = [slice(None)] * psi.ndim, [slice(None)] * psi.ndim
-        for axis, bit_a, bit_b in zip(axes, *swap):
-            a[axis], b[axis] = bit_a, bit_b
-        a, b = tuple(a), tuple(b)
-        held = buffer[: psi[a].size].reshape(psi[a].shape)
-        np.copyto(held, psi[a])
-        psi[a] = psi[b]
-        psi[b] = held
+    table = _IN_PLACE.get(kind)
+    if table is not None:
+        swap, phases = table
+        if swap is not None:
+            a, b = (_slice(psi, axes, bits) for bits in swap)
+            held = buffer[: a.size].reshape(a.shape)
+            np.copyto(held, a)
+            np.copyto(a, b)
+            np.copyto(b, held)
+        for bits, phase in phases:
+            part = _slice(psi, axes, bits)
+            np.multiply(part, phase, out=part)
         return psi
     k, batch = len(axes), len(psi)
     order = [0] + axes + [axis for axis in range(1, psi.ndim) if axis not in axes]
@@ -123,19 +140,6 @@ class Prepared:
         self.ideal.flags.writeable = False
 
 
-def _pauli(psi, kind: GateKind, axis: int, state, buffer) -> None:
-    """Apply the Pauli ``kind`` on ``axis`` of ``psi`` in place, exactly up
-    to the sign of zero: Z negates the second slice, X is ``_apply``'s swap
-    and Y is i times X after Z."""
-    if kind is not GateKind.X:
-        high = psi[(slice(None),) * axis + (1,)]
-        np.negative(high, out=high)
-    if kind is not GateKind.Z:
-        _apply(psi, GateKind.X, (), [axis], state, buffer)
-    if kind is GateKind.Y:
-        np.multiply(psi, 1j, out=psi)
-
-
 def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray:
     """Run all gates on one state per error pattern, its Paulis right after
     their gate. Row t is pattern t's probability vector of the measured
@@ -160,7 +164,7 @@ def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray
         axes = [n - q for q in instr.qubits]
         psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
         for t, q, kind in hits.get(index, ()):
-            _pauli(psi[t : t + 1], kind, n - q, state, buffer)
+            _apply(psi[t : t + 1], kind, (), [n - q], state, buffer)
         if __debug__:  # every trajectory's norm
             norms = np.matmul(halves, across).reshape(batch, 2).sum(1)
             assert abs(norms - 1.0).max() < 1e-10, f"norm drifted to {norms}"

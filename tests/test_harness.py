@@ -998,16 +998,45 @@ def test_adaptive_selected_is_probe_winner_without_main_phase():
 def test_adaptive_record_selected_comes_from_the_plan(monkeypatch):
     # the record reports the split's own pick; nothing re-ranks the probe
     real = harness.adaptive_split
+    picks = []
 
     def renamed(*args, **kwargs):
         counts, plan, report = real(*args, **kwargs)
-        return counts, dataclasses.replace(plan, selected="from_plan"), report
+        other = next(name for name, _ in plan.allocations if name != plan.selected)
+        picks.append(other)
+        return counts, dataclasses.replace(plan, selected=other), report
 
     monkeypatch.setattr(harness, "adaptive_split", renamed)
     config = load_config(base_config(shots=1000, defense={"mode": "adaptive"}))
     records, errors = run_experiment(config)
     assert not errors and records
-    assert all(r["selected"] == "from_plan" for r in records)
+    assert [r["selected"] for r in records] == picks
+
+
+def test_adaptive_tvd_vs_clean_reads_the_selected_backend():
+    """The answer holds the winner's shots alone, so the losers' probe shots
+    must not pull its clean reference towards their readout error."""
+    backends = [
+        {"name": "hw_a", "readout": 0.0, "drift": 0.0},
+        {"name": "hw_b", "readout": 0.3, "drift": 0.0},
+        {"name": "hw_c", "readout": 0.3, "drift": 0.0},
+    ]
+    config = load_config(
+        base_config(
+            backends=backends,
+            shots=400,
+            seeds=[0, 1, 2],
+            defense={"mode": "adaptive", "k": 50, "r": 2},
+        )
+    )
+    records, errors = run_experiment(config)
+    assert not errors and len(records) == 3
+    for record in records:
+        assert record["selected"] == "hw_a"
+        # hw_a's 2 x 50 probe shots and the 100 left: all "111", as is
+        # its clean distribution
+        assert record["top_counts"] == {"111": 200}
+        assert record["tvd_vs_clean"] == 0.0
 
 
 def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):

@@ -476,7 +476,7 @@ def test_gate_noise_10000_shots_runs_in_seconds(monkeypatch):
 # --- in-place gate kernel and batched error draws ----------------------------
 
 _UNITARY_KINDS = [k for k in GateKind if k not in (GateKind.BARRIER, GateKind.MEASURE)]
-_PERMUTATION_KINDS = {GateKind.X, GateKind.CX, GateKind.SWAP, GateKind.CCX}
+_IN_PLACE_KINDS = set(simulator._IN_PLACE)
 
 
 @st.composite
@@ -510,7 +510,7 @@ def test_in_place_kernel_matches_tensordot_oracle(case):
         want = tensordot_apply(want, reference_matrix(kind.value, params), axes)
         psi = simulator._apply(psi, kind, params, [a + 1 for a in axes], state, buffer)
         assert np.shares_memory(psi, state)
-        exact = exact and kind in _PERMUTATION_KINDS
+        exact = exact and kind in _IN_PLACE_KINDS  # products with 0, ±1, ±i
         if exact:
             assert np.array_equal(psi[0], want)
         else:
@@ -518,17 +518,38 @@ def test_in_place_kernel_matches_tensordot_oracle(case):
 
 
 def test_permutation_gates_read_no_matrix(monkeypatch):
-    def no_matrix(kind, params=()):
-        raise AssertionError(f"{kind} read its matrix")
+    # H alone reads its matrix; around it the phases of the table gates
+    # decide the outcome
+    real = simulator.matrix
 
-    monkeypatch.setattr(simulator, "matrix", no_matrix)
+    def h_only(kind, params=()):
+        if kind is not GateKind.H:
+            raise AssertionError(f"{kind} read its matrix")
+        return real(kind, params)
+
+    monkeypatch.setattr(simulator, "matrix", h_only)
     b = CircuitBuilder(3)
     b.gate(GateKind.X, 0)
     b.gate(GateKind.CX, 0, 2)
     b.gate(GateKind.SWAP, 2, 1)
-    b.gate(GateKind.CCX, 1, 0, 2)
+    b.gate(GateKind.CCX, 1, 0, 2)  # |111>
+    b.gate(GateKind.H, 2)
+    b.gate(GateKind.CZ, 0, 2)  # Z on qubit 2, as qubit 0 is |1>
+    b.gate(GateKind.H, 2)  # HZH = X: |0> on qubit 2
+    b.gate(GateKind.H, 2)
+    b.gate(GateKind.Z, 2)
+    b.gate(GateKind.H, 2)  # |1> on qubit 2
+    b.gate(GateKind.H, 1)
+    for kind in (GateKind.S, GateKind.S, GateKind.S, GateKind.SDG):
+        b.gate(kind, 1)  # S^3 SDG = Z, where S^4 = SDG^4 = I
+    b.gate(GateKind.H, 1)  # |0> on qubit 1
+    b.gate(GateKind.Y, 0)  # -i|0> on qubit 0
+    b.gate(GateKind.H, 0)
+    b.gate(GateKind.Y, 0)  # HYH = -Y, HXH = Z
+    b.gate(GateKind.H, 0)  # |1> on qubit 0
     b.measure_all()
-    assert prepare(b.build()).ideal.tolist() == [0.0] * 7 + [1.0]  # "111"
+    ideal = prepare(b.build()).ideal
+    assert ideal == pytest.approx([0.0] * 5 + [1.0, 0.0, 0.0], abs=1e-12)  # "101"
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9])
@@ -589,16 +610,45 @@ def test_batched_evolve_equals_one_pattern_at_a_time(case):
         assert row.tobytes() == alone.tobytes()  # bitwise, not close
 
 
+_HIT_GATES = [
+    (GateKind.H, (0,), ()), (GateKind.CX, (0, 1), ()), (GateKind.T, (1,), ()),
+    (GateKind.RY, (2,), (0.3,)), (GateKind.CZ, (2, 0), ()), (GateKind.H, (1,), ()),
+    (GateKind.SWAP, (1, 2), ()), (GateKind.H, (0,), ()), (GateKind.H, (2,), ()),
+]
+
+
+def _hit_circuit(pauli=None, after=None, qubit=None):
+    """The gates of ``_HIT_GATES``, with ``pauli`` on ``qubit`` right after
+    gate ``after`` when given."""
+    b = CircuitBuilder(3)
+    for index, (kind, qubits, params) in enumerate(_HIT_GATES):
+        b.gate(kind, *qubits, params=params)
+        if index == after:
+            b.gate(pauli, qubit)
+    b.measure_all()
+    return b.build()
+
+
+@pytest.mark.parametrize("pauli", [GateKind.X, GateKind.Y, GateKind.Z])
+@pytest.mark.parametrize("after", range(len(_HIT_GATES)))
+def test_a_pauli_hit_is_the_pauli_gate_after_the_hit_gate(pauli, after):
+    # the hit trajectory sits between two clean ones of its batch
+    circuit = _hit_circuit()
+    for qubit in _HIT_GATES[after][1]:
+        hit = ((after, ((qubit, pauli),)),)
+        rows = simulator._evolve(circuit, [(), hit, ()])
+        gate = prepare(_hit_circuit(pauli, after, qubit)).ideal
+        assert rows[1].tobytes() == gate.tobytes()
+        assert rows[0].tobytes() == rows[2].tobytes() == prepare(circuit).ideal.tobytes()
+
+
 def test_norm_check_covers_every_trajectory_of_a_batch(monkeypatch):
-    # a Pauli that scales one trajectory of 64 by 1 + 1e-9 moves its norm
-    # by 2e-9, far below the batch's total mass of 64 times 1e-10
-    real = simulator._pauli
-
-    def scaled(psi, kind, axis, state, buffer):
-        real(psi, kind, axis, state, buffer)
-        psi *= 1.0 + 1e-9
-
-    monkeypatch.setattr(simulator, "_pauli", scaled)
+    # a Z error that scales the |1> half of one trajectory of 64 by
+    # 1 + 1e-9 moves its norm by 1e-9 (that half holds mass 1/2), far below
+    # the batch's total mass of 64 times 1e-10
+    monkeypatch.setitem(
+        simulator._IN_PLACE, GateKind.Z, (None, (((1,), -(1.0 + 1e-9)),))
+    )
     b = CircuitBuilder(2)
     b.gate(GateKind.H, 0)
     b.gate(GateKind.CX, 0, 1)
