@@ -27,6 +27,10 @@ from .backend import BackendModel, NoiseError
 from .benchmarks import builtin
 from .circuit import CapacityExceeded, CircuitError
 from .defense import (
+    DEFAULT_K,
+    DEFAULT_PROBE_ITERATIONS,
+    DEFAULT_PROBE_RUNS,
+    DEFAULT_R,
     SELECTION_ORDER,
     DefenseError,
     adaptive_split,
@@ -49,7 +53,13 @@ from .qasm import QasmError, parse_qasm
 # summarize, write_csv and write_jsonl: bench/worker.py calls them as harness.*
 from .report import IoError, record_key, summarize, write_csv, write_jsonl
 from .rng import derive_seed
-from .simulator import Prepared, clean_distribution, execute, prepare
+from .simulator import (
+    Prepared,
+    clean_distribution,
+    execute,
+    prepare,
+    trajectory_cost,
+)
 
 SCHEMA_VERSION = 1
 
@@ -460,7 +470,7 @@ def _check_widths(backends, workload: Workload) -> None:
     """Every backend needs a readout pair for every measured qubit, and a
     tamper subset no wider than the measured lines."""
     if workload.kind == "qaoa":
-        pairs = build_qaoa_circuit(workload.graph, QaoaParams((), ())).measured_pairs
+        pairs = workload.graph.lines
     else:
         pairs = workload.prepared.measured_pairs
     width, last = len(pairs), max(q for q, _ in pairs)
@@ -475,6 +485,58 @@ def _check_widths(backends, workload: Workload) -> None:
             backend.tamper.check_width(width)
         except TamperError as exc:
             raise ConfigError(f"/backends/{i}/tamper/k: {exc}")
+
+
+#: gate-noise work one cell may take, in ``simulator.trajectory_cost``'s
+#: amplitude updates: 45-60 s on a 2-vCPU Xeon host, where 2 000-shot
+#: executes at p = 0.002 ran 5.0e8 of them per second at 14 qubits and
+#: 6.9e8 at 18 (the estimate counts every gate; a pattern runs about half)
+GATE_NOISE_BUDGET = 3e10
+
+
+def _cell_trajectories(mode: str, options, workload: Workload, shots: int, m: int):
+    """Trajectories one cell runs on each of its ``m`` backends, and those
+    the selected backend runs on top; each execute runs one per shot."""
+    if workload.kind == "qaoa":
+        spec = workload.qaoa
+        if mode == "qaoa_adaptive":
+            probes = options.get("probe_runs", DEFAULT_PROBE_RUNS) * options.get(
+                "probe_iterations", DEFAULT_PROBE_ITERATIONS
+            )
+            last = last_phase_iterations(mode, spec.iterations, m, **options)
+            return probes * spec.shots_per_iter, last * spec.shots_per_iter
+        evaluations = spec.iterations // 2 if mode == "qaoa_split" else spec.iterations
+        return evaluations * spec.shots_per_iter, 0
+    if mode == "equal":
+        return -(-shots // m), 0
+    if mode == "adaptive":
+        probes = options.get("r", DEFAULT_R) * options.get("k", DEFAULT_K)
+        return probes, max(0, shots - m * probes)
+    return shots, 0
+
+
+def _check_gate_noise(backends, workload: Workload, mode: str, options, shots):
+    """Reject a config whose largest cell's gate-noise trajectories are
+    estimated above ``GATE_NOISE_BUDGET``, at the backend that costs most."""
+    noisy = {i: b.gate_depolarizing for i, b in enumerate(backends)}
+    noisy = {i: p for i, p in noisy.items() if p > 0.0}
+    if not noisy:
+        return
+    if workload.kind == "qaoa":
+        angles = (0.0,) * workload.qaoa.p
+        circuit = build_qaoa_circuit(workload.graph, QaoaParams(angles, angles))
+    else:
+        circuit = workload.prepared.circuit
+    cost = {i: trajectory_cost(circuit, p) for i, p in noisy.items()}
+    every, selected = _cell_trajectories(mode, options, workload, shots, len(backends))
+    work = every * sum(cost.values()) + selected * max(cost.values())
+    if work > GATE_NOISE_BUDGET:
+        worst = max(cost, key=cost.get)
+        raise ConfigError(
+            f"/backends/{worst}/gate_depolarizing: a cell's gate-noise "
+            f"trajectories take about {work:.2g} amplitude updates, above the "
+            f"budget of {GATE_NOISE_BUDGET:.2g} (about 60 s)"
+        )
 
 
 def load_config(source: dict | str | Path, master_seed: int | None = None) -> ExperimentConfig:
@@ -534,9 +596,10 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
     if "t_sweep" in raw and all(b.tamper is None for b in backends):
         # _with_t overrides t on tampered backends only; a sweep would only reseed
         raise ConfigError("/t_sweep: no backend is tampered")
+    shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
+    _check_gate_noise(backends, workload, mode, options, max(shots_sweep))
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
-    shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
     return ExperimentConfig(
         workload=workload,
         backends=backends,

@@ -8,8 +8,8 @@ directly, the cost layer as one phase multiply over ``Graph.cuts`` and the
 mixer as one ``gates.apply_lines`` call (RX(2 beta) on every line, in
 blocks of 4 lines above n = 4). On a backend without gate noise
 ``execute`` gets that vector as a ``Prepared`` with the circuit's measured
-lines alone, read once per ``optimize`` from a circuit of no layers; on a
-gate-noise backend it gets the built circuit of each evaluation, whose
+lines alone, which ``Graph.lines`` reads once per graph from a circuit of no
+layers; on a gate-noise backend it gets the built circuit of each evaluation, whose
 gates the trajectories evolve.
 """
 from __future__ import annotations
@@ -89,6 +89,19 @@ class Graph:
         cuts.flags.writeable = False
         return cuts
 
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Read-only ``|E| - 2 cuts``, the cost layer's phase per angle."""
+        energy = len(self.edges) - 2.0 * self.cuts
+        energy.flags.writeable = False
+        return energy
+
+    @cached_property
+    def lines(self) -> tuple[tuple[int, int], ...]:
+        """The measured lines of every QAOA circuit on this graph, whatever
+        its depth and angles: those of a circuit of no layers."""
+        return build_qaoa_circuit(self, QaoaParams((), ())).measured_pairs
+
 
 @dataclass(frozen=True)
 class QaoaParams:
@@ -156,10 +169,9 @@ def probabilities(graph: Graph, params: QaoaParams) -> np.ndarray:
     """
     n = graph.n
     state = np.full(1 << n, 2.0 ** (-n / 2), dtype=complex)
-    energy = len(graph.edges) - 2.0 * graph.cuts
     phase = np.empty_like(state)
     for gamma, beta in zip(params.gamma, params.beta):
-        np.multiply(energy, -1j * gamma, out=phase)
+        np.multiply(graph.energy, -1j * gamma, out=phase)
         state *= np.exp(phase, out=phase)
         c, m = math.cos(beta), -1j * math.sin(beta)
         state = apply_lines(state, [np.array([[c, m], [m, c]])] * n)  # RX(2 beta)
@@ -237,8 +249,7 @@ class _Objective:
         self.trace: list[float] = []
         self.best_value = -math.inf
         self.best_params: QaoaParams | None = None
-        # the measured lines, the same at every depth and angle
-        self.lines = build_qaoa_circuit(graph, QaoaParams((), ())).measured_pairs
+        self.lines = graph.lines  # the same at every depth and angle
 
     def __call__(self, x) -> float:
         if self.evals >= self.budget:

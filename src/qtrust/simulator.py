@@ -14,7 +14,12 @@ whatever layout the gates left. Gate noise evolves each distinct Pauli
 error pattern of a run once (Monte-Carlo wavefunction trajectories
 weighted by how often each pattern was drawn), many per ``_evolve`` along
 a leading batch axis; one ``random()`` per (trajectory, gate, qubit)
-picks the hit and its Pauli, which ``_apply`` runs as a gate.
+picks the hit and its Pauli, which ``_apply`` runs as a gate. Until its
+first hit a trajectory is the noise-free state: the patterns run in order
+of their first hit, and one noise-free state, carried forward once per
+run, is copied into each batch at its earliest first hit, so a pattern
+costs only the gates from its first hit on. ``trajectory_cost`` estimates
+that work for the config loader's bound.
 The resulting vector, indexed by the integer outcome, runs through
 readout and tamper flips (two ``adversary.flip_channel`` calls, each one
 ``gates.apply_lines`` pass per block of 4 lines above 4 lines) to the
@@ -25,8 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,7 +112,8 @@ _PAULIS = (GateKind.X, GateKind.Y, GateKind.Z)
 
 #: Pauli errors of one trajectory: {instruction index: ((qubit, Pauli), ...)}
 Errors = dict[int, tuple[tuple[int, GateKind], ...]]
-#: the same as a hashable ``tuple(errors.items())``; () when nothing hit
+#: the same as a hashable ``tuple(errors.items())``, in circuit order; ()
+#: when nothing hit
 Pattern = tuple[tuple[int, tuple[tuple[int, GateKind], ...]], ...]
 
 
@@ -125,6 +130,8 @@ class Prepared:
     circuit: Circuit | None
     ideal: np.ndarray
     measured_pairs: tuple[tuple[int, int], ...] | None = None
+    # clean_distribution's vectors, one per distinct tuple of line pairs
+    _clean: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if (self.circuit is None) == (self.measured_pairs is None):
@@ -140,10 +147,43 @@ class Prepared:
         self.ideal.flags.writeable = False
 
 
-def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray:
-    """Run all gates on one state per error pattern, its Paulis right after
+def _run(psi: np.ndarray, gates, hits, state: np.ndarray, buffer: np.ndarray):
+    """Apply ``gates`` (entries of ``Circuit.gates``) to the B states of
+    ``psi``, a ``(B,) + (2,)*n`` view of the flat ``state``, with state t's
+    Paulis (``hits``: instruction index -> [(t, qubit, Pauli)]) right after
+    their gate, gathering in ``buffer`` (the size of ``state``). Under
+    ``__debug__`` every state's norm is checked after every gate. Returns
+    the view of ``state`` after the last gate."""
+    n, batch = psi.ndim - 1, len(psi)
+    # the norm check's halves of each (batch-major) state: OpenBLAS keeps a
+    # dot of 2^n doubles on one thread up to 13 qubits, one of 2^(n+1) not
+    halves = state.view(float).reshape(2 * batch, 1, -1)
+    across = halves.transpose(0, 2, 1)
+    for index, instr in gates:
+        axes = [n - q for q in instr.qubits]
+        psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
+        for t, q, kind in hits.get(index, ()):
+            _apply(psi[t : t + 1], kind, (), [n - q], state, buffer)
+        if __debug__:  # every trajectory's norm
+            norms = np.matmul(halves, across).reshape(batch, 2).sum(1)
+            assert abs(norms - 1.0).max() < 1e-10, f"norm drifted to {norms}"
+    return psi
+
+
+def _evolve(
+    circuit: Circuit, patterns: Sequence[Pattern] = ((),), start=None
+) -> np.ndarray:
+    """Run the gates on one state per error pattern, its Paulis right after
     their gate. Row t is pattern t's probability vector of the measured
-    bits, indexed by the integer value of their bitstring."""
+    bits, indexed by the integer value of their bitstring.
+
+    Every state starts as |0...0> before the first gate or, given ``start
+    = (position, clean, buffer)``, as a copy of ``clean``: the noise-free
+    ``(1,) + (2,)*n`` state before gate ``position`` of ``circuit.gates``,
+    which no pattern may hit earlier. ``buffer``, the gather buffer, holds
+    at least one complex per amplitude of the batch; it is also where the
+    probabilities are summed, so no larger array is made after the gates.
+    """
     pairs = circuit.measured_pairs
     if not pairs:
         raise CircuitError("circuit has no measurements")
@@ -152,31 +192,28 @@ def _evolve(circuit: Circuit, patterns: Sequence[Pattern] = ((),)) -> np.ndarray
     for t, pattern in enumerate(patterns):
         for index, errors in pattern:
             hits.setdefault(index, []).extend((t, q, kind) for q, kind in errors)
-    state = np.zeros(batch << n, dtype=complex)
-    state[:: 1 << n] = 1.0  # |0...0> in every trajectory
-    buffer = np.empty_like(state)
-    psi = state.reshape((batch,) + (2,) * n)  # qubit q is axis n - q
-    # the norm check's halves of each (batch-major) state: OpenBLAS keeps a
-    # dot of 2^n doubles on one thread up to 13 qubits, one of 2^(n+1) not
-    halves = state.view(float).reshape(2 * batch, 1, -1)
-    across = halves.transpose(0, 2, 1)
-    for index, instr in circuit.gates:
-        axes = [n - q for q in instr.qubits]
-        psi = _apply(psi, instr.kind, instr.params, axes, state, buffer)
-        for t, q, kind in hits.get(index, ()):
-            _apply(psi[t : t + 1], kind, (), [n - q], state, buffer)
-        if __debug__:  # every trajectory's norm
-            norms = np.matmul(halves, across).reshape(batch, 2).sum(1)
-            assert abs(norms - 1.0).max() < 1e-10, f"norm drifted to {norms}"
-    del buffer  # the probabilities below need the room
-    probs = np.abs(psi)
+    shape = (batch,) + (2,) * n  # qubit q is axis n - q
+    if start is None:
+        position = 0
+        state = np.zeros(batch << n, dtype=complex)
+        state[:: 1 << n] = 1.0  # |0...0> in every trajectory
+        buffer = np.empty_like(state)
+    else:
+        position, clean, buffer = start
+        state = np.empty(batch << n, dtype=complex)
+        np.copyto(state.reshape(shape), clean)
+        buffer = buffer[: state.size]
+    psi = _run(state.reshape(shape), circuit.gates[position:], hits, state, buffer)
+    # |psi|^2 in the buffer's first half, then a C-ordered copy with the
+    # measured qubits first in its second half, so the sum's order does not
+    # depend on the memory order the last dense gate left
+    probs, ordered = buffer.view(float).reshape((2,) + shape)
+    np.abs(psi, out=probs)
     probs **= 2
     front = [n - q for q, _ in pairs]  # output order, clbit descending
     rest = [a for a in range(1, n + 1) if a not in front]
-    # a C-ordered copy, so the sum's order does not depend on the memory
-    # order the last dense gate left
-    probs = np.ascontiguousarray(np.transpose(probs, [0] + front + rest))
-    return probs.reshape(batch, 2 ** len(front), -1).sum(axis=2)
+    np.copyto(ordered, np.transpose(probs, [0] + front + rest))
+    return ordered.reshape(batch, 2 ** len(front), -1).sum(axis=2)
 
 
 def prepare(circuit: Circuit) -> Prepared:
@@ -213,6 +250,10 @@ def _draw_errors(circuit: Circuit, p: float, rng, trajectories: int) -> list[Pat
     return patterns
 
 
+def _first_hit(pattern: Pattern) -> int:
+    return pattern[0][0]
+
+
 # Amplitudes per batched evolve: 16 adder_n10 patterns, or 2 multiply_n13
 # ones, which took 510-530 ms at 2 000 shots and p = 0.002 against 640-780
 # ms one at a time. heavy_paths peak RSS rose by under 0.1 MB.
@@ -223,23 +264,55 @@ def _trajectory_vector(
     prepared: Prepared, depolarizing: float, trajectories: int, rng
 ) -> np.ndarray:
     """Mean of ``trajectories`` Pauli trajectories, evolving each distinct
-    error pattern once, ``_BATCH_AMPLITUDES >> n`` (at least one) per
-    ``_evolve``, and weighting it by how often it was drawn."""
+    error pattern once and weighting it by how often it was drawn.
+
+    Until its first hit a trajectory is the noise-free state. So the noisy
+    patterns run in order of their first hit (drawn order among ties),
+    ``_BATCH_AMPLITUDES >> n`` (at least one) per ``_evolve``, and one
+    noise-free state is carried forward to each batch's earliest first hit
+    and copied into the batch's rows, which run only the gates from there.
+    Each batch's weighted rows are added as it finishes, after the
+    error-free weight, so one batch of rows is alive at a time.
+    """
     circuit = prepared.circuit
     if circuit is None:
         raise CircuitError("gate noise needs the circuit's gates")
     drawn = Counter(_draw_errors(circuit, depolarizing, rng, trajectories))
-    noisy = [pattern for pattern in drawn if pattern]
-    size = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
-    rows = chain.from_iterable(  # one batch at a time, in the order of noisy
-        _evolve(circuit, noisy[first : first + size])
-        for first in range(0, len(noisy), size)
-    )
     acc = 0.0
-    for pattern, count in drawn.items():  # first-drawn order
-        vec = next(rows) if pattern else prepared.ideal
-        acc += (count / trajectories) * vec
+    if () in drawn:
+        acc += (drawn[()] / trajectories) * prepared.ideal
+    noisy = sorted((pattern for pattern in drawn if pattern), key=_first_hit)
+    if not noisy:
+        return acc
+    n = circuit.num_qubits
+    size = max(1, _BATCH_AMPLITUDES >> n)
+    position = {index: at for at, (index, _) in enumerate(circuit.gates)}
+    buffer = np.empty(min(size, len(noisy)) << n, dtype=complex)
+    clean = np.zeros(1 << n, dtype=complex)
+    clean[0] = 1.0  # |0...0>
+    psi, done = clean.reshape((1,) + (2,) * n), 0
+    for first in range(0, len(noisy), size):
+        batch = noisy[first : first + size]
+        at = position[_first_hit(batch[0])]
+        psi = _run(psi, circuit.gates[done:at], {}, clean, buffer[: clean.size])
+        done = at
+        rows = _evolve(circuit, batch, (at, psi, buffer))
+        for t, pattern in enumerate(batch):
+            acc += (drawn[pattern] / trajectories) * rows[t]
+        del rows  # one batch of rows at a time: gone before the next evolve
     return acc
+
+
+def trajectory_cost(circuit: Circuit, p: float) -> float:
+    """Expected amplitude updates that one trajectory adds to a gate-noise
+    ``execute``: the chance ``1 - (1 - p)^slots`` that one of its
+    (gate, qubit) slots is hit, times ``gates x 2^n``, one evolve from
+    |0...0>. Distinct patterns are fewer than hit trajectories, and each
+    runs only the gates from its first hit, so this estimates from above.
+    """
+    slots = sum(len(instr.qubits) for _, instr in circuit.gates)
+    hit = 1.0 - (1.0 - p) ** slots
+    return hit * len(circuit.gates) * 2.0**circuit.num_qubits
 
 
 def sample_counts(dist: Counts, shots: int, seed: int) -> Counts:
@@ -259,9 +332,17 @@ def _line_pairs(backend: BackendModel, prepared: Prepared) -> list[ReadoutPair]:
 
 
 def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
-    """Analytic post-readout distribution without drift or tampering."""
-    pairs = dict(enumerate(_line_pairs(backend, prepared)))
-    return Counts(flip_channel(prepared.ideal, pairs))
+    """Analytic post-readout distribution without drift or tampering.
+
+    Computed once per ``prepared`` and distinct line pairs: backends with
+    the same readout, and targeted planning, share one read-only vector.
+    """
+    pairs = tuple(_line_pairs(backend, prepared))
+    clean = prepared._clean.get(pairs)
+    if clean is None:  # two threads may both compute it; they get one
+        clean = Counts(flip_channel(prepared.ideal, dict(enumerate(pairs))))
+        clean = prepared._clean.setdefault(pairs, clean)
+    return clean
 
 
 def resolve_tamper(

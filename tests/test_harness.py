@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qtrust import harness, simulator
 from qtrust.adversary import TamperMode
+from qtrust.benchmarks import builtin
 from qtrust.cli import main
 from qtrust.harness import ConfigError, load_config, run_experiment
 from qtrust.report import read_jsonl, summarize, write_jsonl
@@ -310,6 +311,84 @@ def test_cli_unread_field_exits_2(tmp_path, capsys, name):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {UNREAD_FIELDS[name]}\n"
     assert not out.exists()
+
+
+def _noise_config(mode, shots, **workload):
+    backends = [
+        {"name": "honest"},
+        {"name": "noisy", "gate_depolarizing": 0.01},
+        {"name": "noisier", "gate_depolarizing": 0.05},
+    ]
+    return base_config(
+        workload=workload or {"builtin": "adder_n10"},
+        backends=backends,
+        shots=shots,
+        defense={"mode": mode},
+    )
+
+
+def test_gate_noise_work_over_the_budget_exits_2(tmp_path, capsys):
+    # 2e6 shots x (0.46 + 0.96) hit, of 62 slots, x 29 gates x 2^10 amplitudes
+    config = _noise_config("none", 2_000_000)
+    message = (
+        "/backends/2/gate_depolarizing: a cell's gate-noise trajectories take "
+        "about 8.4e+10 amplitude updates, above the budget of 3e+10 (about 60 s)"
+    )
+    with pytest.raises(ConfigError) as err:
+        load_config(config)
+    assert str(err.value) == message
+    path, out = tmp_path / "config.json", tmp_path / "results.jsonl"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_gate_noise_budget_counts_the_executes_of_a_cell():
+    circuit = builtin("adder_n10").circuit
+    cost = [simulator.trajectory_cost(circuit, p) for p in (0.01, 0.05)]
+    budget = harness.GATE_NOISE_BUDGET
+
+    def rejected(config) -> bool:
+        try:
+            load_config(config)
+        except ConfigError as exc:
+            assert str(exc).startswith("/backends/2/gate_depolarizing: ")
+            return True
+        return False
+
+    # every backend runs every shot under none, its share under equal
+    shots = int(1.5 * budget / sum(cost))
+    assert rejected(_noise_config("none", shots))
+    assert not rejected(_noise_config("equal", shots))
+    # the largest shots of a sweep sets the cell
+    assert rejected({**_noise_config("none", 10), "shots_sweep": [10, shots]})
+    # adaptive: 2 x 50 probe shots on every backend, and the rest on one,
+    # counted at the costliest
+    assert rejected(_noise_config("adaptive", int(1.01 * budget / cost[1]) + 300))
+    assert not rejected(_noise_config("adaptive", int(0.9 * budget / cost[1])))
+    assert rejected(_noise_config("none", int(0.9 * budget / cost[1])))
+    # a QAOA cell counts the shots of every evaluation on the built circuit
+    # (16 nodes: 2^16 amplitudes, 104 gates)
+    qaoa = {"nodes": 16, "degree": 3, "iterations": 50, "shots_per_iter": 100}
+    assert rejected(_noise_config("none", 100, qaoa=qaoa))
+    assert not rejected(_noise_config("none", 100, qaoa={**qaoa, "iterations": 5}))
+
+
+def test_every_ci_and_bench_config_loads(tmp_path):
+    # the gate-noise budget rejects none of the shipped configs
+    for path in sorted(DATA.glob("ci_*.json")):
+        load_config(path)
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for path in workloads.generate(name, 1, workdir).configs:
+            load_config(path)
 
 
 def test_qaoa_adaptive_default_probes_at_the_budget_edge():

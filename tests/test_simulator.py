@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -290,6 +292,53 @@ def test_clean_distribution_ignores_drift():
     assert clean_distribution(base, bell) == clean_distribution(drifty, bell)
 
 
+def test_clean_distribution_is_computed_once_per_line_pairs(monkeypatch):
+    calls = [0]
+    real = simulator.flip_channel
+
+    def counting(vec, flips):
+        calls[0] += 1
+        return real(vec, flips)
+
+    monkeypatch.setattr(simulator, "flip_channel", counting)
+    bell = prepare(_bell())
+    plain = BackendModel("a", readout=(0.05, 0.1), drift=0.05)
+    twin = BackendModel("b", readout=(0.05, 0.1), tamper=TamperSpec(TamperMode.TARGETED, 0.3))
+    per_line = BackendModel("c", readout=((0.05, 0.1), (0.2, 0.1)))
+    first = clean_distribution(plain, bell)
+    assert clean_distribution(twin, bell) is first and calls == [1]
+    other = clean_distribution(per_line, bell)
+    assert calls == [2]
+    # the same bits as a channel of its own; line 0 is qubit 0
+    want = real(bell.ideal, {0: (0.05, 0.1), 1: (0.05, 0.1)})
+    assert first.vector.tobytes() == want.tobytes()
+    want = real(bell.ideal, {0: (0.05, 0.1), 1: (0.2, 0.1)})
+    assert other.vector.tobytes() == want.tobytes()
+    # targeted planning reads the same vector; another Prepared has its own
+    resolve_tamper(twin, bell, seed=2)
+    clean_distribution(plain, prepare(_bell()))
+    assert calls == [3]
+
+
+def test_clean_distribution_memo_is_shared_across_threads():
+    # more threads than cores, switching often: every caller gets the one
+    # vector kept, whichever thread computed it
+    prepared = [prepare(builtin("adder_n10").circuit) for _ in range(20)]
+    backends = [BackendModel(f"hw{i}", readout=(0.02, 0.03)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for one in prepared:
+                got = list(
+                    pool.map(lambda b: clean_distribution(b, one), backends, timeout=60)
+                )
+                assert all(counts is got[0] for counts in got)
+                assert list(one._clean.values()) == [got[0]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_drift_jitter_changes_results_between_seeds():
     backend = BackendModel("hw", readout=(0.1, 0.1), drift=0.1)
     bell = prepare(_bell())
@@ -331,9 +380,9 @@ def _count_evolves(monkeypatch) -> list[int]:
     calls = [0]
     original = simulator._evolve
 
-    def counting(circuit, patterns=((),)):
+    def counting(circuit, patterns=((),), *args):
         calls[0] += len(patterns)
-        return original(circuit, patterns)
+        return original(circuit, patterns, *args)
 
     monkeypatch.setattr(simulator, "_evolve", counting)
     return calls
@@ -670,9 +719,9 @@ def test_trajectory_chunks_do_not_move_the_vector(monkeypatch, amplitudes):
         calls = []
         original = simulator._evolve
 
-        def recording(circuit, patterns=((),)):
+        def recording(circuit, patterns=((),), *args):
             calls.append(len(patterns))
-            return original(circuit, patterns)
+            return original(circuit, patterns, *args)
 
         monkeypatch.setattr(simulator, "_evolve", recording)
         got = _trajectory_vector(prepared, p, shots, np.random.default_rng(5))
@@ -748,3 +797,119 @@ def test_error_draws_hit_at_rate_p_with_uniform_paulis(p):
     third = [hits / 3] * 3
     observed = [paulis[kind] for kind in (GateKind.X, GateKind.Y, GateKind.Z)]
     assert _chi2(observed, third) < _CHI2_999[2]
+
+
+# --- the shared noise-free prefix ---------------------------------------------
+
+
+@st.composite
+def prefix_cases(draw):
+    """A circuit on 1 to 14 qubits over every gate kind, dense and in place,
+    and the drawn patterns of its trajectories, in a shuffled order: error
+    free ones and noisy ones whose first hits fall on its first gate, on its
+    last gate and on a gate that another pattern's first hit shares."""
+    n = draw(st.integers(1, 14))
+    kinds = [kind for kind in _UNITARY_KINDS if kind.arity <= n]
+    angle = st.floats(-2 * math.pi, 2 * math.pi)
+    b = CircuitBuilder(n, n)
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))[: kind.arity]
+        b.gate(kind, *qubits, params=[draw(angle) for _ in range(kind.num_params)])
+    measured = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    for q, clbit in zip(measured, draw(st.permutations(range(n)))):
+        b.measure(q, clbit)
+    circuit = b.build()
+    gates = circuit.gates
+    firsts = [0, len(gates) - 1]
+    firsts += draw(st.lists(st.integers(0, len(gates) - 1), max_size=4))
+    firsts.append(draw(st.sampled_from(firsts)))  # a shared first hit
+    pauli = st.sampled_from([GateKind.X, GateKind.Y, GateKind.Z])
+    drawn = [()] * draw(st.integers(0, 3))
+    for first in firsts:
+        pattern = []
+        for index, instr in gates[first:]:
+            hits = [(q, draw(_PAULI_OR_NONE)) for q in instr.qubits]
+            if not pattern:  # the first hit
+                hits[0] = (hits[0][0], draw(pauli))
+            hits = tuple((q, kind) for q, kind in hits if kind is not None)
+            if hits:
+                pattern.append((index, hits))
+        drawn += [tuple(pattern)] * draw(st.integers(1, 3))
+    return circuit, draw(st.permutations(drawn))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_cases())
+def test_prefix_started_rows_equal_evolves_from_zero(case):
+    circuit, drawn = case
+    n, prepared = circuit.num_qubits, prepare(circuit)
+    alone = {
+        pattern: simulator._evolve(circuit, [pattern])[0]
+        for pattern in set(drawn) - {()}
+    }
+    # the mixture in drawn order, as each pattern evolved from |0...0>
+    want = 0.0
+    for pattern, count in Counter(drawn).items():
+        vec = alone[pattern] if pattern else prepared.ideal
+        want += (count / len(drawn)) * vec
+    mixtures = []
+    for rows in (1, 2, 16):
+        started = []
+        original = simulator._evolve
+
+        def recording(circuit, patterns=((),), *args):
+            got = original(circuit, patterns, *args)
+            started.extend(zip(patterns, got))
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_BATCH_AMPLITUDES", rows << n)
+            patch.setattr(simulator, "_draw_errors", lambda *args: list(drawn))
+            patch.setattr(simulator, "_evolve", recording)
+            mixtures.append(_trajectory_vector(prepared, 0.1, len(drawn), None))
+        assert Counter(pattern for pattern, _ in started) == Counter(list(alone))
+        for pattern, row in started:
+            assert row.tobytes() == alone[pattern].tobytes()  # bitwise
+        assert np.max(np.abs(mixtures[-1] - want)) <= 1e-14 * np.max(want)
+    assert mixtures[0].tobytes() == mixtures[1].tobytes() == mixtures[2].tobytes()
+
+
+def _norm_case(monkeypatch, scaled: GateKind, firsts):
+    """``_hit_circuit``'s gates with ``scaled`` (an H or the RY) scaled by
+    1 + 1e-9 once its noise-free vector is prepared, and one X pattern
+    first hit at each of ``firsts``; returns how many states ``_evolve``
+    started before the norm check fired."""
+    circuit = _hit_circuit()
+    prepared = prepare(circuit)
+    real = simulator.matrix
+
+    def scaled_gate(kind, params=()):
+        gate = real(kind, params)
+        return (1.0 + 1e-9) * gate if kind is scaled else gate
+
+    drawn = [((first, ((_HIT_GATES[first][1][0], GateKind.X),)),) for first in firsts]
+    started = [0]
+    original = simulator._evolve
+
+    def counting(circuit, patterns=((),), *args):
+        started[0] += len(patterns)
+        return original(circuit, patterns, *args)
+
+    monkeypatch.setattr(simulator, "matrix", scaled_gate)
+    monkeypatch.setattr(simulator, "_draw_errors", lambda *args: list(drawn))
+    monkeypatch.setattr(simulator, "_evolve", counting)
+    with pytest.raises(AssertionError, match="norm drifted"):
+        _trajectory_vector(prepared, 0.1, len(drawn), None)
+    return started[0]
+
+
+def test_norm_check_covers_the_carried_prefix(monkeypatch):
+    # the RY (gate 3) sits before every first hit: the carried noise-free
+    # state runs it, and its check fires before any pattern starts
+    assert _norm_case(monkeypatch, GateKind.RY, [4, 5, 6]) == 0
+
+
+def test_norm_check_covers_the_gates_after_every_first_hit(monkeypatch):
+    # the RY (gate 3) sits after every first hit: only the trajectories run it
+    assert _norm_case(monkeypatch, GateKind.RY, [0, 1, 2]) > 0
