@@ -7,6 +7,8 @@ a voted answer, then inter-run TVD, then confidence; the winner gets the
 remaining budget. PM ranks before TVD because the TVD of two short probes
 is mostly sampling noise, while a tampered backend's PM against the
 voted answer collapses towards 1.
+Each mode's spend is defined once, in ``allocation``, which the defenses
+and the harness's load-time budget checks read.
 The user never needs ground truth: the probe's reference answer comes
 from majority voting over per-cell top outcomes. The sampling defenses
 take a ``simulator.Prepared``, so every backend and run reads the one
@@ -86,25 +88,60 @@ def _check_backends(backends: list[BackendModel]) -> None:
         raise DefenseError(f"backend names must be unique: {names}")
 
 
+def allocation(
+    mode: str,
+    backends: int,
+    total: int,
+    k: int = DEFAULT_K,
+    r: int = DEFAULT_R,
+    probe_iterations: int = DEFAULT_PROBE_ITERATIONS,
+    probe_runs: int = DEFAULT_PROBE_RUNS,
+) -> tuple[tuple[int, ...], int]:
+    """Each of ``backends`` backends' runs under ``mode`` from a budget of
+    ``total``, in backend order, and the runs the selected backend adds after
+    the probes. A run is a shot for the sampling modes and an evaluation for
+    the QAOA modes. Raises the mode's budget errors."""
+    if mode == "none":
+        return (total,) * backends, 0
+    if mode == "equal":
+        if backends < 2:
+            raise DefenseError("equal split needs at least two backends")
+        if total < backends:
+            raise InsufficientShots(f"{total} shots across {backends} backends")
+        base, extra = divmod(total, backends)  # the remainder to the first
+        return tuple(base + (i < extra) for i in range(backends)), 0
+    if mode == "adaptive":
+        probe_cost = backends * r * k
+        if total < probe_cost:
+            raise InsufficientShots(
+                f"budget {total} cannot cover {probe_cost} probe shots"
+            )
+        return (r * k,) * backends, total - probe_cost
+    if mode == "qaoa_split":
+        if total % 2:
+            raise DefenseError("iteration split needs an even iteration budget")
+        return (total // 2,) * backends, 0
+    if mode == "qaoa_adaptive":
+        probe_cost = backends * probe_runs * probe_iterations
+        if total <= probe_cost:
+            raise InsufficientShots(
+                f"iteration budget {total} cannot cover {probe_cost} probe iterations"
+            )
+        return (probe_runs * probe_iterations,) * backends, total - probe_cost
+    raise DefenseError(f"unknown defense mode {mode!r}")
+
+
 def equal_split(
     backends: list[BackendModel], prepared: Prepared, shots: int, seed: int
 ) -> tuple[Counts, SplitPlan]:
     """Divide the budget evenly; remainder goes to the first backends."""
     _check_backends(backends)
-    m = len(backends)
-    if m < 2:
-        raise DefenseError("equal split needs at least two backends")
-    if shots < m:
-        raise InsufficientShots(f"{shots} shots across {m} backends")
-    base, extra = divmod(shots, m)
-    allocations = []
+    shares, _ = allocation("equal", len(backends), shots)
     parts = []
-    for i, backend in enumerate(backends):
-        share = base + (1 if i < extra else 0)
+    for backend, share in zip(backends, shares):
         resolved = resolve_tamper(backend, prepared, seed)
         parts.append(execute(resolved, prepared, share, derive_seed(seed, "equal")))
-        allocations.append((backend.name, share))
-    return stitch(parts), SplitPlan(tuple(allocations))
+    return stitch(parts), SplitPlan(tuple(zip([b.name for b in backends], shares)))
 
 
 def probe(
@@ -197,17 +234,11 @@ def adaptive_split(
     answer (they may be tampered) but stay in the report.
     """
     _check_backends(backends)
-    m = len(backends)
-    probe_cost = m * r * k
-    if shots < probe_cost:
-        raise InsufficientShots(
-            f"budget {shots} cannot cover {probe_cost} probe shots"
-        )
+    shares, remainder = allocation("adaptive", len(backends), shots, k=k, r=r)
     # resolved once: probe and the main run reuse the same tamper lines
     resolved = [resolve_tamper(b, prepared, seed) for b in backends]
     report = probe(resolved, prepared, k=k, r=r, seed=seed)
     winner = select_backend(report, order)
-    remainder = shots - probe_cost
     selected = next(b for b in resolved if b.name == winner)
     parts = [run.counts for run in report.for_backend(winner).runs]
     if remainder > 0:
@@ -215,7 +246,8 @@ def adaptive_split(
             execute(selected, prepared, remainder, derive_seed(seed, "main"))
         )
     allocations = tuple(
-        (b.name, r * k + (remainder if b.name == winner else 0)) for b in backends
+        (b.name, share + (remainder if b.name == winner else 0))
+        for b, share in zip(backends, shares)
     )
     return stitch(parts), SplitPlan(allocations, winner), report
 
@@ -238,27 +270,6 @@ class QaoaAdaptiveRecord:
     best: QaoaRunRecord  # final, or the winner's best probe run if its AR is higher
 
 
-def last_phase_iterations(
-    mode: str,
-    iterations: int,
-    backends: int = 2,
-    probe_runs: int = DEFAULT_PROBE_RUNS,
-    probe_iterations: int = DEFAULT_PROBE_ITERATIONS,
-) -> int:
-    """Iterations left for the last phase of ``mode``: half of an even budget
-    for ``qaoa_split``, and what the probes leave for ``qaoa_adaptive``."""
-    if mode == "qaoa_split":
-        if iterations % 2:
-            raise DefenseError("iteration split needs an even iteration budget")
-        return iterations // 2
-    probe_cost = backends * probe_runs * probe_iterations
-    if iterations <= probe_cost:
-        raise InsufficientShots(
-            f"iteration budget {iterations} cannot cover {probe_cost} probe iterations"
-        )
-    return iterations - probe_cost
-
-
 def qaoa_iteration_split(
     backend_a: BackendModel,
     backend_b: BackendModel,
@@ -269,13 +280,13 @@ def qaoa_iteration_split(
     """Optimize half the iterations on A, hand the incumbent parameters to
     B for the other half. The answer is the phase whose best expectation is
     higher, phase A on a tie."""
-    half = last_phase_iterations("qaoa_split", config.iterations)
-    rec_a = optimize(backend_a, graph, config.p, half, config.shots_per_iter, seed)
+    (half_a, half_b), _ = allocation("qaoa_split", 2, config.iterations)
+    rec_a = optimize(backend_a, graph, config.p, half_a, config.shots_per_iter, seed)
     rec_b = optimize(
         backend_b,
         graph,
         config.p,
-        half,
+        half_b,
         config.shots_per_iter,
         derive_seed(seed, "phase-b"),
         init_params=rec_a.best_params,
@@ -296,8 +307,12 @@ def qaoa_adaptive(
     mean probe AR gets the remaining iteration budget. The answer is the
     final run, unless the winner's best probe run has a strictly higher AR."""
     _check_backends(backends)
-    remaining = last_phase_iterations(
-        "qaoa_adaptive", config.iterations, len(backends), probe_runs, probe_iterations
+    _, remaining = allocation(
+        "qaoa_adaptive",
+        len(backends),
+        config.iterations,
+        probe_iterations=probe_iterations,
+        probe_runs=probe_runs,
     )
     probe_ars: dict[str, tuple[float, ...]] = {}
     best_probe: dict[str, QaoaRunRecord] = {}

@@ -6,6 +6,8 @@ coefficient and the shot budget, a defense mode and a list of seeds. Every
 (t, shots, seed) cell runs independently on a bounded worker pool and
 produces one record. This module loads and checks configs and runs them;
 writing, reading and summarising the records is `qtrust.report`'s job.
+Budgets are `defense.allocation`'s: the load checks QAOA iteration budgets
+and the gate-noise bound with it, and shot budgets fail per cell.
 
 Determinism: the cell seed is a hash of (master seed, workload, t, shots,
 seed index), and every stochastic stage below derives its own sub-stream,
@@ -27,15 +29,11 @@ from .backend import BackendModel, NoiseError
 from .benchmarks import builtin
 from .circuit import CapacityExceeded, CircuitError
 from .defense import (
-    DEFAULT_K,
-    DEFAULT_PROBE_ITERATIONS,
-    DEFAULT_PROBE_RUNS,
-    DEFAULT_R,
     SELECTION_ORDER,
     DefenseError,
     adaptive_split,
+    allocation,
     equal_split,
-    last_phase_iterations,
     qaoa_adaptive,
     qaoa_iteration_split,
 )
@@ -494,30 +492,10 @@ def _check_widths(backends, workload: Workload) -> None:
 GATE_NOISE_BUDGET = 3e10
 
 
-def _cell_trajectories(mode: str, options, workload: Workload, shots: int, m: int):
-    """Trajectories one cell runs on each of its ``m`` backends, and those
-    the selected backend runs on top; each execute runs one per shot."""
-    if workload.kind == "qaoa":
-        spec = workload.qaoa
-        if mode == "qaoa_adaptive":
-            probes = options.get("probe_runs", DEFAULT_PROBE_RUNS) * options.get(
-                "probe_iterations", DEFAULT_PROBE_ITERATIONS
-            )
-            last = last_phase_iterations(mode, spec.iterations, m, **options)
-            return probes * spec.shots_per_iter, last * spec.shots_per_iter
-        evaluations = spec.iterations // 2 if mode == "qaoa_split" else spec.iterations
-        return evaluations * spec.shots_per_iter, 0
-    if mode == "equal":
-        return -(-shots // m), 0
-    if mode == "adaptive":
-        probes = options.get("r", DEFAULT_R) * options.get("k", DEFAULT_K)
-        return probes, max(0, shots - m * probes)
-    return shots, 0
-
-
-def _check_gate_noise(backends, workload: Workload, mode: str, options, shots):
-    """Reject a config whose largest cell's gate-noise trajectories are
-    estimated above ``GATE_NOISE_BUDGET``, at the backend that costs most."""
+def _check_gate_noise(backends, workload: Workload, mode: str, budget, shots):
+    """Reject a config whose largest cell's gate-noise trajectories, one per
+    shot of ``defense.allocation``'s runs, are estimated above
+    ``GATE_NOISE_BUDGET``, at the backend that costs most."""
     noisy = {i: b.gate_depolarizing for i, b in enumerate(backends)}
     noisy = {i: p for i, p in noisy.items() if p > 0.0}
     if not noisy:
@@ -525,10 +503,18 @@ def _check_gate_noise(backends, workload: Workload, mode: str, options, shots):
     if workload.kind == "qaoa":
         angles = (0.0,) * workload.qaoa.p
         circuit = build_qaoa_circuit(workload.graph, QaoaParams(angles, angles))
+        total, shots_per_run = workload.qaoa.iterations, workload.qaoa.shots_per_iter
     else:
         circuit = workload.prepared.circuit
+        total, shots_per_run = shots, 1
+    try:
+        shares, extra = allocation(mode, len(backends), total, **budget)
+    except DefenseError:  # every cell fails before it executes
+        return
     cost = {i: trajectory_cost(circuit, p) for i, p in noisy.items()}
-    every, selected = _cell_trajectories(mode, options, workload, shots, len(backends))
+    # every backend at the largest share, the selected one's extra at the
+    # costliest
+    every, selected = max(shares) * shots_per_run, extra * shots_per_run
     work = every * sum(cost.values()) + selected * max(cost.values())
     if work > GATE_NOISE_BUDGET:
         worst = max(cost, key=cost.get)
@@ -583,10 +569,11 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
     if kind not in (None, workload.kind):
         noun = "sampling" if kind == "sample" else kind
         raise ConfigError(f"/defense/mode: {mode} needs a {noun} workload")
+    # the options that size the split; `order` only ranks the probes
+    budget = {key: value for key, value in options.items() if key != "order"}
     if kind == "qaoa":
-        iterations = workload.qaoa.iterations
         try:
-            last_phase_iterations(mode, iterations, len(backends), **options)
+            allocation(mode, len(backends), workload.qaoa.iterations, **budget)
         except DefenseError as exc:
             raise ConfigError(f"/workload/qaoa/iterations: {exc}")
 
@@ -597,7 +584,7 @@ def load_config(source: dict | str | Path, master_seed: int | None = None) -> Ex
         # _with_t overrides t on tampered backends only; a sweep would only reseed
         raise ConfigError("/t_sweep: no backend is tampered")
     shots_sweep = tuple(raw.get("shots_sweep", [raw["shots"]]))
-    _check_gate_noise(backends, workload, mode, options, max(shots_sweep))
+    _check_gate_noise(backends, workload, mode, budget, max(shots_sweep))
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     t_sweep = tuple(raw["t_sweep"]) if "t_sweep" in raw else (None,)
     return ExperimentConfig(
@@ -649,13 +636,14 @@ def _finite(x: float) -> float | str:
     return x if math.isfinite(x) else "inf"
 
 
-def _clean_mixture(clean: dict[str, Counts], allocations) -> Counts:
-    total = sum(s for _, s in allocations if s > 0)
+def _clean_mixture(backends, prepared: Prepared, allocations) -> Counts:
+    total = sum(s for _, s in allocations)
+    clean = [clean_distribution(b, prepared).vector for b in backends]
     # vec * share / total in allocation order; vec * (share / total) moves bits
-    return Counts(sum(clean[n].vector * s / total for n, s in allocations if s > 0))
+    return Counts(sum(vec * s / total for vec, (_, s) in zip(clean, allocations)))
 
 
-def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) -> None:
+def _fill(config: ExperimentConfig, backends, shots, seed, record: dict) -> None:
     """Run one backend group under the config's defense mode and write that
     mode's fields into `record`."""
     wl, mode = config.workload, config.defense
@@ -689,18 +677,19 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
     if mode == "none":
         (backend,) = backends
         counts = execute(backend, wl.prepared, shots, seed)
-        clean_mix = clean[backend.name]
+        clean_mix = clean_distribution(backend, wl.prepared)
     else:
         if mode == "equal":
             counts, plan = equal_split(backends, wl.prepared, shots, seed)
-            clean_mix = _clean_mixture(clean, plan.allocations)
+            clean_mix = _clean_mixture(backends, wl.prepared, plan.allocations)
         else:  # adaptive: the answer holds the selected backend's shots alone
             counts, plan, report = adaptive_split(
                 backends, wl.prepared, shots, seed=seed, **config.options
             )
             record["probe"] = _probe_summary(report)
             record["selected"] = plan.selected
-            clean_mix = clean[plan.selected]
+            selected = next(b for b in backends if b.name == plan.selected)
+            clean_mix = clean_distribution(selected, wl.prepared)
         record["allocations"] = list(plan.allocations)
     top, confidence = top_outcome(counts)
     record.update(
@@ -715,7 +704,7 @@ def _fill(config: ExperimentConfig, backends, shots, seed, clean, record: dict) 
     )
 
 
-def _run_cell(config: ExperimentConfig, t, shots, seed, clean) -> list[dict]:
+def _run_cell(config: ExperimentConfig, t, shots, seed) -> list[dict]:
     """One record per backend under `none`, else one for the whole cell."""
     backends = _with_t(config.backends, t)
     groups = [[b] for b in backends] if config.defense == "none" else [backends]
@@ -724,7 +713,7 @@ def _run_cell(config: ExperimentConfig, t, shots, seed, clean) -> list[dict]:
     for group in groups:
         start = time.perf_counter()
         record = _base_record(config, t, shots, seed, "+".join(b.name for b in group))
-        _fill(config, group, shots, cell_seed, clean, record)
+        _fill(config, group, shots, cell_seed, record)
         record["wall_time_s"] = time.perf_counter() - start
         records.append(record)
     return records
@@ -757,13 +746,6 @@ def run_experiment(
 
     Records come back sorted by cell key, independent of scheduling.
     """
-    wl = config.workload
-    # cell-invariant: ignores t, seed, drift and tampering
-    clean = (
-        {b.name: clean_distribution(b, wl.prepared) for b in config.backends}
-        if wl.kind == "sample"
-        else {}
-    )
     cells = [
         (t, shots, seed)
         for t in config.t_sweep
@@ -773,7 +755,7 @@ def run_experiment(
 
     def one(cell):
         try:
-            return _run_cell(config, *cell, clean), None
+            return _run_cell(config, *cell), None
         except Exception as exc:  # noqa: BLE001 - cell isolation
             t, shots, seed = cell
             return [], f"cell t={t} shots={shots} seed={seed}: {exc}"

@@ -130,7 +130,7 @@ class Prepared:
     circuit: Circuit | None
     ideal: np.ndarray
     measured_pairs: tuple[tuple[int, int], ...] | None = None
-    # clean_distribution's vectors, one per distinct tuple of line pairs
+    # clean_distribution's vectors, one per distinct backend readout
     _clean: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -334,14 +334,15 @@ def _line_pairs(backend: BackendModel, prepared: Prepared) -> list[ReadoutPair]:
 def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
     """Analytic post-readout distribution without drift or tampering.
 
-    Computed once per ``prepared`` and distinct line pairs: backends with
-    the same readout, and targeted planning, share one read-only vector.
+    Computed once per ``prepared`` and readout, the key, so that a hit (one
+    per harness record) builds no line pairs: backends with the same readout,
+    and targeted planning, share one read-only vector.
     """
-    pairs = tuple(_line_pairs(backend, prepared))
-    clean = prepared._clean.get(pairs)
+    clean = prepared._clean.get(backend.readout)
     if clean is None:  # two threads may both compute it; they get one
+        pairs = _line_pairs(backend, prepared)
         clean = Counts(flip_channel(prepared.ideal, dict(enumerate(pairs))))
-        clean = prepared._clean.setdefault(pairs, clean)
+        clean = prepared._clean.setdefault(backend.readout, clean)
     return clean
 
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from collections import Counter
 import hashlib
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrust import harness, simulator
+from qtrust import defense, harness, qaoa, simulator
 from qtrust.adversary import TamperMode
 from qtrust.benchmarks import builtin
 from qtrust.cli import main
@@ -389,6 +390,91 @@ def test_every_ci_and_bench_config_loads(tmp_path):
         workdir.mkdir()
         for path in workloads.generate(name, 1, workdir).configs:
             load_config(path)
+
+
+# mode, backends, budget (shots or iterations), options -> each backend's
+# runs and the selected backend's extra runs, or the budget error
+ALLOCATIONS = {
+    "none": ("none", 3, 101, {}, ((101, 101, 101), 0)),
+    "equal_remainder": ("equal", 3, 101, {}, ((34, 34, 33), 0)),
+    "equal_short": ("equal", 3, 2, {}, "2 shots across 3 backends"),
+    "adaptive": ("adaptive", 3, 101, {"k": 10, "r": 2}, ((20, 20, 20), 41)),
+    "adaptive_probes_only": ("adaptive", 3, 60, {"k": 10, "r": 2}, ((20, 20, 20), 0)),
+    "adaptive_short": (
+        "adaptive", 3, 59, {"k": 10, "r": 2}, "budget 59 cannot cover 60 probe shots"
+    ),
+    "qaoa_split": ("qaoa_split", 2, 6, {}, ((3, 3), 0)),
+    "qaoa_split_odd": (
+        "qaoa_split", 2, 7, {}, "iteration split needs an even iteration budget"
+    ),
+    "qaoa_adaptive_at_probe_cost": (
+        "qaoa_adaptive", 2, 8, {"probe_runs": 2, "probe_iterations": 2},
+        "iteration budget 8 cannot cover 8 probe iterations",
+    ),
+    "qaoa_adaptive": (
+        "qaoa_adaptive", 2, 9, {"probe_runs": 2, "probe_iterations": 2}, ((4, 4), 1)
+    ),
+    "qaoa_adaptive_defaults": ("qaoa_adaptive", 3, 31, {}, ((10, 10, 10), 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, m, budget, options, expected", ALLOCATIONS.values(), ids=list(ALLOCATIONS)
+)
+def test_allocation_is_what_the_defense_spends(
+    monkeypatch, mode, m, budget, options, expected
+):
+    names = [f"hw_{i}" for i in range(m)]
+    if MODE_KINDS[mode] == "qaoa":
+        qaoa_spec = {"nodes": 4, "degree": 2, "iterations": budget}
+        workload, shots = {"qaoa": qaoa_spec}, 1
+    else:
+        workload, shots = WORKLOADS["sample"], budget
+    cfg = base_config(
+        workload=workload,
+        backends=[{"name": name} for name in names],
+        shots=shots,
+        seeds=[0],
+        defense={"mode": mode, **options},
+    )
+    if isinstance(expected, str):
+        with pytest.raises(defense.DefenseError) as err:
+            defense.allocation(mode, m, budget, **options)
+        assert str(err.value) == expected
+        if MODE_KINDS[mode] == "qaoa":  # rejected at load time
+            with pytest.raises(ConfigError) as err:
+                load_config(cfg)
+            assert str(err.value) == f"/workload/qaoa/iterations: {expected}"
+        else:  # shot budgets are checked per cell
+            records, errors = run_experiment(load_config(cfg))
+            assert records == []
+            assert errors == [f"cell t=None shots={budget} seed=0: {expected}"]
+        return
+
+    spent = Counter()
+
+    def counting(run, at):
+        def wrapper(backend, *args, **kwargs):
+            spent[backend.name] += args[at]  # shots of execute, iterations of optimize
+            return run(backend, *args, **kwargs)
+
+        return wrapper
+
+    for module in (defense, harness):
+        monkeypatch.setattr(module, "execute", counting(simulator.execute, 1))
+        monkeypatch.setattr(module, "optimize", counting(qaoa.optimize, 2))
+    records, errors = run_experiment(load_config(cfg))
+    assert errors == []
+    shares, extra = defense.allocation(mode, m, budget, **options)
+    assert (shares, extra) == expected
+    runs = list(shares)
+    if "selected" in records[0]:
+        runs[names.index(records[0]["selected"])] += extra
+    else:
+        assert extra == 0
+    assert [spent[name] for name in names] == runs
+    if "allocations" in records[0]:  # SplitPlan.allocations
+        assert records[0]["allocations"] == list(zip(names, runs))
 
 
 def test_qaoa_adaptive_default_probes_at_the_budget_edge():
@@ -1122,23 +1208,22 @@ def test_ideal_and_clean_computed_once_per_experiment(monkeypatch):
     config = load_config(
         base_config(t_sweep=[0.1, 0.3], seeds=[0, 1], defense={"mode": "equal"})
     )
-    calls = {"clean_distribution": 0, "prepare": 0}
+    cleans, prepares = [], []
 
-    def counting(name):
-        original = getattr(harness, name)
+    def clean_distribution(backend, prepared):
+        cleans.append(simulator.clean_distribution(backend, prepared))
+        return cleans[-1]
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(harness, name, counting(name))
+    monkeypatch.setattr(harness, "clean_distribution", clean_distribution)
+    monkeypatch.setattr(harness, "prepare", lambda *args: prepares.append(args))
     records, errors = run_experiment(config, jobs=2)
     assert not errors and len(records) == 4
-    # once per backend, not per cell; the ideal comes from load_config
-    assert calls == {"clean_distribution": 2, "prepare": 0}
+    # both backends read out at 0.02: one clean vector, memoised on the
+    # workload's Prepared and read by every cell; the ideal comes from
+    # load_config
+    (clean,) = config.workload.prepared._clean.values()
+    assert len(cleans) == 8 and all(got is clean for got in cleans)
+    assert prepares == []
 
 
 @pytest.mark.parametrize("mode", ["none", "equal", "adaptive"])

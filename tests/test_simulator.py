@@ -601,6 +601,11 @@ def test_permutation_gates_read_no_matrix(monkeypatch):
     assert ideal == pytest.approx([0.0] * 5 + [1.0, 0.0, 0.0], abs=1e-12)  # "101"
 
 
+# the norm check is an assert under __debug__, which python -O removes
+needs_debug = pytest.mark.skipif(not __debug__, reason="python -O removes asserts")
+
+
+@needs_debug
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9])
 def test_norm_check_catches_a_non_unitary_gate(monkeypatch, scale):
     real = simulator.matrix
@@ -691,6 +696,7 @@ def test_a_pauli_hit_is_the_pauli_gate_after_the_hit_gate(pauli, after):
         assert rows[0].tobytes() == rows[2].tobytes() == prepare(circuit).ideal.tobytes()
 
 
+@needs_debug
 def test_norm_check_covers_every_trajectory_of_a_batch(monkeypatch):
     # a Z error that scales the |1> half of one trajectory of 64 by
     # 1 + 1e-9 moves its norm by 1e-9 (that half holds mass 1/2), far below
@@ -904,12 +910,14 @@ def _norm_case(monkeypatch, scaled: GateKind, firsts):
     return started[0]
 
 
+@needs_debug
 def test_norm_check_covers_the_carried_prefix(monkeypatch):
     # the RY (gate 3) sits before every first hit: the carried noise-free
     # state runs it, and its check fires before any pattern starts
     assert _norm_case(monkeypatch, GateKind.RY, [4, 5, 6]) == 0
 
 
+@needs_debug
 def test_norm_check_covers_the_gates_after_every_first_hit(monkeypatch):
     # the RY (gate 3) sits after every first hit: only the trajectories run it
     assert _norm_case(monkeypatch, GateKind.RY, [0, 1, 2]) > 0
