@@ -10,7 +10,7 @@ q_{n-1}...q_0 convention), bit i of an index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,7 +42,8 @@ class TamperSpec:
     """Static tampering configuration of a rogue backend.
 
     ``lines`` is filled once per backend instance: by the targeted planner
-    for TARGETED mode, by a seeded draw for RANDOM_SUBSET.
+    for TARGETED mode, by a seeded draw for RANDOM_SUBSET. ``flips`` is
+    the one reader of the target lines.
     """
 
     mode: TamperMode
@@ -57,10 +58,6 @@ class TamperSpec:
             if self.k is None or self.k < 1:
                 raise TamperError("random_subset needs a positive subset size k")
 
-    @property
-    def needs_resolution(self) -> bool:
-        return self.mode is not TamperMode.RANDOM_ALL and self.lines is None
-
     def check_width(self, width: int) -> None:
         """A subset of ``k`` lines must fit in the ``width`` measured lines."""
         if self.k is not None and self.k > width:
@@ -68,19 +65,13 @@ class TamperSpec:
                 f"subset size k={self.k} exceeds the {width} measured lines"
             )
 
-    def with_lines(self, lines) -> "TamperSpec":
-        return replace(self, lines=tuple(sorted(lines)))
-
-    def resolved_lines(self, num_lines: int) -> tuple[int, ...]:
-        if self.mode is TamperMode.RANDOM_ALL:
-            return tuple(range(num_lines))
-        if self.lines is None:
-            raise UnresolvedTamperSpec(f"{self.mode.value} spec has no target lines")
-        return self.lines
-
     def flips(self, num_lines: int) -> dict[int, tuple[float, float]]:
-        """Symmetric ``(t, t)`` flip pair on every target line."""
-        return {line: (self.t, self.t) for line in self.resolved_lines(num_lines)}
+        """Symmetric ``(t, t)`` flip pair on every target line: each of the
+        ``num_lines`` lines under RANDOM_ALL, else ``lines``."""
+        lines = range(num_lines) if self.mode is TamperMode.RANDOM_ALL else self.lines
+        if lines is None:
+            raise UnresolvedTamperSpec(f"{self.mode.value} spec has no target lines")
+        return {line: (self.t, self.t) for line in lines}
 
 
 def plan_targeted(untampered: Counts) -> tuple[int, ...]:

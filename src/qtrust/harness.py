@@ -471,10 +471,10 @@ def _check_widths(backends, workload: Workload) -> None:
         pairs = workload.graph.lines
     else:
         pairs = workload.prepared.measured_pairs
-    width, last = len(pairs), max(q for q, _ in pairs)
+    width = len(pairs)
     for i, backend in enumerate(backends):
         try:
-            backend.pair_for(last)
+            backend.line_pairs(pairs)
         except NoiseError as exc:
             raise ConfigError(f"/backends/{i}/readout: {exc}")
         if backend.tamper is None:
@@ -608,7 +608,7 @@ def _with_t(backends: tuple[BackendModel, ...], t: float | None):
     out = []
     for b in backends:
         if b.tamper is not None:
-            out.append(b.with_tamper(replace(b.tamper, t=float(t))))
+            out.append(replace(b, tamper=replace(b.tamper, t=float(t))))
         else:
             out.append(b)
     return out

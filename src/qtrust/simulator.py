@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adversary import flip_channel, plan_targeted, TamperMode
-from .backend import BackendModel, ReadoutPair
+from .backend import BackendModel
 from .circuit import Circuit, CircuitError, GateKind
 from .gates import matrix
 from .metrics import Counts
@@ -130,7 +130,7 @@ class Prepared:
     circuit: Circuit | None
     ideal: np.ndarray
     measured_pairs: tuple[tuple[int, int], ...] | None = None
-    # clean_distribution's vectors, one per distinct backend readout
+    # clean_distribution's vectors, one per distinct tuple of line pairs
     _clean: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -326,23 +326,18 @@ def sample_counts(dist: Counts, shots: int, seed: int) -> Counts:
     return Counts(derive_rng(seed).multinomial(shots, probs / mass))
 
 
-def _line_pairs(backend: BackendModel, prepared: Prepared) -> list[ReadoutPair]:
-    ordered = prepared.measured_pairs  # clbit descending = left to right
-    return [backend.pair_for(q) for q, _ in reversed(ordered)]
-
-
 def clean_distribution(backend: BackendModel, prepared: Prepared) -> Counts:
     """Analytic post-readout distribution without drift or tampering.
 
-    Computed once per ``prepared`` and readout, the key, so that a hit (one
-    per harness record) builds no line pairs: backends with the same readout,
-    and targeted planning, share one read-only vector.
+    Computed once per ``prepared`` and line pairs, the key, since the vector
+    depends on nothing else: backends whose readouts give the same pair on
+    every measured line, and targeted planning, share one read-only vector.
     """
-    clean = prepared._clean.get(backend.readout)
+    pairs = backend.line_pairs(prepared.measured_pairs)
+    clean = prepared._clean.get(pairs)
     if clean is None:  # two threads may both compute it; they get one
-        pairs = _line_pairs(backend, prepared)
         clean = Counts(flip_channel(prepared.ideal, dict(enumerate(pairs))))
-        clean = prepared._clean.setdefault(backend.readout, clean)
+        clean = prepared._clean.setdefault(pairs, clean)
     return clean
 
 
@@ -355,7 +350,7 @@ def resolve_tamper(
     random-subset mode draws its lines from a seeded stream.
     """
     spec = backend.tamper
-    if spec is None or not spec.needs_resolution:
+    if spec is None or spec.mode is TamperMode.RANDOM_ALL or spec.lines is not None:
         return backend
     width = len(prepared.measured_pairs)
     if spec.mode is TamperMode.TARGETED:
@@ -369,7 +364,7 @@ def resolve_tamper(
         spec.check_width(width)
         rng = derive_rng(seed, backend.name, "tamper-lines")
         lines = tuple(sorted(rng.choice(width, size=spec.k, replace=False).tolist()))
-    return backend.with_tamper(spec.with_lines(lines))
+    return replace(backend, tamper=replace(spec, lines=lines))
 
 
 def execute(
@@ -382,7 +377,7 @@ def execute(
         probs = _trajectory_vector(prepared, backend.gate_depolarizing, shots, rng)
     else:
         probs = prepared.ideal
-    pairs = _line_pairs(backend, prepared)
+    pairs = backend.line_pairs(prepared.measured_pairs)
     if backend.drift > 0.0:
         rng = derive_rng(seed, backend.name, "drift")
         pairs = np.array(pairs)

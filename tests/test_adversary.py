@@ -31,16 +31,9 @@ def test_random_subset_needs_k():
     TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=2)
 
 
-def test_needs_resolution():
-    assert TamperSpec(TamperMode.TARGETED, 0.3).needs_resolution
-    assert TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=1).needs_resolution
-    assert not TamperSpec(TamperMode.RANDOM_ALL, 0.3).needs_resolution
-    assert not TamperSpec(TamperMode.TARGETED, 0.3, lines=(0,)).needs_resolution
-
-
-def test_resolved_lines_random_all_covers_everything():
+def test_flips_random_all_covers_everything():
     spec = TamperSpec(TamperMode.RANDOM_ALL, 0.3)
-    assert spec.resolved_lines(4) == (0, 1, 2, 3)
+    assert spec.flips(4) == {line: (0.3, 0.3) for line in range(4)}
 
 
 def test_unresolved_channel_raises():

@@ -607,7 +607,10 @@ def test_short_per_qubit_readout_is_config_error(tmp_path, capsys, workload, pai
     assert "config error: /backends/1/readout:" in capsys.readouterr().err
 
     cfg["backends"][1]["readout"] = [[0.01, 0.02]] * (pairs + 1)
-    assert load_config(cfg).backends[1].pair_for(pairs) == (0.01, 0.02)
+    config = load_config(cfg)
+    wl = config.workload
+    lines = wl.graph.lines if wl.kind == "qaoa" else wl.prepared.measured_pairs
+    assert config.backends[1].line_pairs(lines) == ((0.01, 0.02),) * (pairs + 1)
 
 
 # each names a graph the QAOA workload cannot build or cannot simulate

@@ -3,6 +3,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from qtrust.adversary import TamperError, TamperMode, TamperSpec, flip_channel
 from qtrust import simulator
-from qtrust.backend import BackendModel
+from qtrust.backend import BackendModel, NoiseError
 from qtrust.benchmarks import builtin
 from qtrust.circuit import CircuitBuilder, CircuitError, GateKind
 from qtrust.metrics import Counts, top_outcome, tvd
@@ -307,6 +308,12 @@ def test_clean_distribution_is_computed_once_per_line_pairs(monkeypatch):
     per_line = BackendModel("c", readout=((0.05, 0.1), (0.2, 0.1)))
     first = clean_distribution(plain, bell)
     assert clean_distribution(twin, bell) is first and calls == [1]
+    # the key is the pair on each measured line, whatever readout gives it:
+    # the broadcast pair per qubit, or a pair more for unmeasured qubit 2
+    same = BackendModel("d", readout=((0.05, 0.1), (0.05, 0.1)))
+    unmeasured = BackendModel("e", readout=((0.05, 0.1), (0.05, 0.1), (0.3, 0.3)))
+    assert clean_distribution(same, bell) is first
+    assert clean_distribution(unmeasured, bell) is first and calls == [1]
     other = clean_distribution(per_line, bell)
     assert calls == [2]
     # the same bits as a channel of its own; line 0 is qubit 0
@@ -362,6 +369,25 @@ def test_gate_depolarizing_degrades_output():
     assert c_clean.get("11", 0) > c_noisy.get("11", 0)
 
 
+# each a readout or drift the stages cannot run: an unpacking or hashing
+# error inside them, or counts drawn from NaN
+BAD_NOISE = {
+    "empty_readout": {"readout": ()},
+    "one_number": {"readout": (0.1,)},
+    "three_numbers": {"readout": (0.1, 0.2, 0.3)},
+    "short_pair_of_qubit_0": {"readout": ((0.1,), (0.2, 0.3), (0.1, 0.1))},
+    "list_readout": {"readout": [0.1, 0.2]},
+    "nan_drift": {"drift": float("nan")},
+    "inf_drift": {"drift": float("inf")},
+}
+
+
+@pytest.mark.parametrize("fields", BAD_NOISE.values(), ids=list(BAD_NOISE))
+def test_backend_rejects_a_readout_or_drift_it_cannot_run(fields):
+    with pytest.raises(NoiseError):
+        BackendModel("hw", **fields)
+
+
 def test_per_qubit_readout_pairs():
     backend = BackendModel("hw", readout=((0.0, 0.0), (0.5, 0.5)))
     b = CircuitBuilder(2)
@@ -370,6 +396,25 @@ def test_per_qubit_readout_pairs():
     # qubit 1 (left char) is fully mixed, qubit 0 untouched
     assert dist["00"] == pytest.approx(0.5)
     assert dist["10"] == pytest.approx(0.5)
+
+    # clbit c holds line c: measured qubits 0, 1, 3 into clbits 2, 0, 1,
+    # qubit 2 summed out
+    b = CircuitBuilder(4, 3)
+    b.gate(GateKind.RY, 0, params=(1.2,))
+    b.gate(GateKind.CX, 0, 1)
+    b.gate(GateKind.H, 2)
+    b.gate(GateKind.CX, 2, 3)
+    b.gate(GateKind.RY, 3, params=(0.4,))
+    b.measure(0, 2).measure(1, 0).measure(3, 1)
+    prepared = prepare(b.build())
+    readout = ((0.01, 0.02), (0.03, 0.04), (0.05, 0.06), (0.07, 0.08))
+    dist = clean_distribution(BackendModel("hw", readout=readout), prepared)
+    on_line = {0: readout[1], 1: readout[3], 2: readout[0]}
+    want = readout_oracle(Counts(prepared.ideal), on_line, 3)
+    assert dist.vector.tolist() == pytest.approx(list(want.values()), abs=1e-12)
+    short = BackendModel("short", readout=readout[:3])
+    with pytest.raises(NoiseError, match="^no readout pair for qubit 3$"):
+        clean_distribution(short, prepared)
 
 
 # --- prepared ideal vector and gate-noise trajectories ------------------------
@@ -421,8 +466,33 @@ def test_resolve_tamper_refuses_a_subset_wider_than_the_lines():
     wide = BackendModel("hw", tamper=TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=3))
     with pytest.raises(TamperError, match="^subset size k=3 exceeds the 2 measured"):
         resolve_tamper(wide, prepared, seed=2)
-    fits = wide.with_tamper(TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=2))
+    fits = replace(wide, tamper=TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=2))
     assert resolve_tamper(fits, prepared, seed=2).tamper.lines == (0, 1)
+
+
+def test_resolve_tamper_fills_only_missing_lines():
+    b = CircuitBuilder(4)
+    b.gate(GateKind.H, 0)
+    for q in range(3):
+        b.gate(GateKind.CX, q, q + 1)
+    b.measure_all()
+    prepared = prepare(b.build())  # GHZ: targeted planning flips every line
+    for spec in (
+        None,
+        TamperSpec(TamperMode.RANDOM_ALL, 0.3),
+        TamperSpec(TamperMode.TARGETED, 0.3, lines=(2,)),
+    ):
+        backend = BackendModel("hw", readout=(0.01, 0.02), tamper=spec)
+        assert resolve_tamper(backend, prepared, seed=2) is backend
+    for spec, size in (
+        (TamperSpec(TamperMode.TARGETED, 0.3), 4),
+        (TamperSpec(TamperMode.RANDOM_SUBSET, 0.3, k=3), 3),
+    ):
+        backend = BackendModel("hw", readout=(0.01, 0.02), tamper=spec)
+        resolved = resolve_tamper(backend, prepared, seed=2)
+        lines = resolved.tamper.lines
+        assert len(lines) == size and lines == tuple(sorted(set(lines)))
+        assert resolved == replace(backend, tamper=replace(spec, lines=lines))
 
 
 def test_prepared_ideal_is_read_only():
