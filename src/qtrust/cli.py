@@ -7,6 +7,8 @@ its ideal top-5 distribution.
 
 Only `report` is imported at start-up: `parse` and `run` import the
 simulator (and numpy) when they run, so `qtrust report` never loads them.
+`run` loads the QASM parser only for a `qasm` workload, the QAOA module
+only for a `qaoa` workload, and the thread pool only for `--jobs` above 1.
 """
 from __future__ import annotations
 
@@ -15,6 +17,16 @@ import sys
 from pathlib import Path
 
 from . import report
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {jobs}")
+    return jobs
 
 
 def _write_error(exc: OSError, path: Path) -> int:
@@ -109,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="master seed override, checked like the config's master_seed",
     )
-    p_run.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p_run.add_argument("--jobs", type=_jobs, default=1, help="worker threads, at least 1")
     p_run.add_argument("--out", default=None, help="JSONL output path")
 
     p_report = sub.add_parser("report", help="emit figure-ready CSV groupings")

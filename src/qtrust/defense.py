@@ -19,12 +19,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .backend import BackendModel
 from .metrics import Counts, _ordered_sum, pm, stitch, top_outcome, tvd
-from .qaoa import Graph, QaoaConfig, QaoaRunRecord, optimize
 from .rng import derive_seed
 from .simulator import Prepared, execute, resolve_tamper
+
+if TYPE_CHECKING:
+    from .qaoa import Graph, QaoaConfig, QaoaRunRecord
 
 
 #: default ranking criteria, most significant first
@@ -280,6 +283,8 @@ def qaoa_iteration_split(
     """Optimize half the iterations on A, hand the incumbent parameters to
     B for the other half. The answer is the phase whose best expectation is
     higher, phase A on a tie."""
+    from .qaoa import optimize
+
     (half_a, half_b), _ = allocation("qaoa_split", 2, config.iterations)
     rec_a = optimize(backend_a, graph, config.p, half_a, config.shots_per_iter, seed)
     rec_b = optimize(
@@ -306,6 +311,8 @@ def qaoa_adaptive(
     """Short probe optimizations on every backend; the one with the higher
     mean probe AR gets the remaining iteration budget. The answer is the
     final run, unless the winner's best probe run has a strictly higher AR."""
+    from .qaoa import optimize
+
     _check_backends(backends)
     _, remaining = allocation(
         "qaoa_adaptive",

@@ -8,6 +8,9 @@ produces one record. This module loads and checks configs and runs them;
 writing, reading and summarising the records is `qtrust.report`'s job.
 Budgets are `defense.allocation`'s: the load checks QAOA iteration budgets
 and the gate-noise bound with it, and shot budgets fail per cell.
+A run imports `qtrust.qasm` only for a `qasm` workload, `qtrust.qaoa`
+only for a `qaoa` workload, and the thread pool only for ``jobs > 1``:
+each branch imports what it calls.
 
 Determinism: the cell seed is a hash of (master seed, workload, t, shots,
 seed index), and every stochastic stage below derives its own sub-stream,
@@ -20,9 +23,9 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .adversary import TamperError, TamperMode, TamperSpec
 from .backend import BackendModel, NoiseError
@@ -38,16 +41,6 @@ from .defense import (
     qaoa_iteration_split,
 )
 from .metrics import Counts, pm, ranked, top_outcome, tvd
-from .qaoa import (
-    Graph,
-    GraphError,
-    QaoaConfig,
-    QaoaParams,
-    build_qaoa_circuit,
-    optimize,
-    random_regular_graph,
-)
-from .qasm import QasmError, parse_qasm
 # summarize, write_csv and write_jsonl: bench/worker.py calls them as harness.*
 from .report import IoError, record_key, summarize, write_csv, write_jsonl
 from .rng import derive_seed
@@ -58,6 +51,9 @@ from .simulator import (
     prepare,
     trajectory_cost,
 )
+
+if TYPE_CHECKING:
+    from .qaoa import Graph, QaoaConfig
 
 SCHEMA_VERSION = 1
 
@@ -397,6 +393,8 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             "sample", bench.circuit.name, prepare(bench.circuit), bench.expected_output
         )
     if "qasm" in raw:
+        from .qasm import QasmError, parse_qasm
+
         path = base_dir / raw["qasm"]
         try:
             source = path.read_text()
@@ -408,6 +406,8 @@ def _build_workload(raw: dict, base_dir: Path) -> Workload:
             raise ConfigError(f"/workload/qasm: {path}: {exc}")
         correct, _ = top_outcome(Counts(prepared.ideal))
         return Workload("sample", prepared.circuit.name, prepared, correct)
+    from .qaoa import Graph, GraphError, QaoaConfig, random_regular_graph
+
     spec = raw["qaoa"]
     try:
         if "edges" in spec:
@@ -501,6 +501,8 @@ def _check_gate_noise(backends, workload: Workload, mode: str, budget, shots):
     if not noisy:
         return
     if workload.kind == "qaoa":
+        from .qaoa import QaoaParams, build_qaoa_circuit
+
         angles = (0.0,) * workload.qaoa.p
         circuit = build_qaoa_circuit(workload.graph, QaoaParams(angles, angles))
         total, shots_per_run = workload.qaoa.iterations, workload.qaoa.shots_per_iter
@@ -650,6 +652,8 @@ def _fill(config: ExperimentConfig, backends, shots, seed, record: dict) -> None
     if wl.kind == "qaoa":
         qcfg = wl.qaoa
         if mode == "none":
+            from .qaoa import optimize
+
             (backend,) = backends
             run = optimize(
                 backend, wl.graph, qcfg.p, qcfg.iterations, qcfg.shots_per_iter, seed
@@ -763,6 +767,8 @@ def run_experiment(
     if jobs <= 1:
         outcomes = list(map(one, cells))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(one, cells))
     records = [record for result, _ in outcomes for record in result]

@@ -2,7 +2,7 @@ import statistics
 
 import pytest
 
-from qtrust import defense, simulator
+from qtrust import defense, qaoa, simulator
 from qtrust.adversary import TamperMode, TamperSpec
 from qtrust.backend import BackendModel
 from qtrust.benchmarks import builtin
@@ -270,8 +270,9 @@ def test_qaoa_adaptive_accounting():
 
 
 def _stub_optimize(monkeypatch, expectations):
-    """Make `defense.optimize` return one run per call, with the given best
-    expectations in call order on a graph whose best cut is 4."""
+    """Make `qaoa.optimize`, which the QAOA defenses import when they run,
+    return one run per call, with the given best expectations in call order
+    on a graph whose best cut is 4."""
     runs = []
 
     def stub(backend, graph, p, iterations, shots_per_iter, seed, init_params=None):
@@ -280,7 +281,7 @@ def _stub_optimize(monkeypatch, expectations):
         runs.append(QaoaRunRecord(params, [value], value / 4, 4, value))
         return runs[-1]
 
-    monkeypatch.setattr(defense, "optimize", stub)
+    monkeypatch.setattr(qaoa, "optimize", stub)
     return runs
 
 

@@ -462,7 +462,8 @@ def test_allocation_is_what_the_defense_spends(
 
     for module in (defense, harness):
         monkeypatch.setattr(module, "execute", counting(simulator.execute, 1))
-        monkeypatch.setattr(module, "optimize", counting(qaoa.optimize, 2))
+    # the QAOA branches import optimize from qaoa when they run
+    monkeypatch.setattr(qaoa, "optimize", counting(qaoa.optimize, 2))
     records, errors = run_experiment(load_config(cfg))
     assert errors == []
     shares, extra = defense.allocation(mode, m, budget, **options)
@@ -1024,6 +1025,50 @@ except ConfigError as exc:
     assert out == "4 0 /: 'workload' is a required property"
 
 
+# modules a plain sampling run never calls; each branch imports its own
+ON_DEMAND = ("qtrust.qaoa", "qtrust.qasm", "concurrent.futures")
+_LOADED_BY_RUN = """
+import json, sys
+from qtrust.harness import load_config, run_experiment
+config, jobs = json.loads(sys.argv[1]), int(sys.argv[2])
+records, errors = run_experiment(load_config(config), jobs=jobs)
+assert records and not errors, errors
+print(json.dumps(sorted(m for m in json.loads(sys.argv[3]) if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "workload, jobs, loaded",
+    [
+        (WORKLOADS["sample"], 1, []),
+        ({"qasm": str(DATA / "bell.qasm")}, 1, ["qtrust.qasm"]),
+        ({"qaoa": {"nodes": 4, "degree": 2, "iterations": 4}}, 1, ["qtrust.qaoa"]),
+        (WORKLOADS["sample"], 2, ["concurrent.futures"]),
+    ],
+    ids=["builtin", "qasm", "qaoa", "jobs2"],
+)
+def test_run_imports_only_what_its_workload_uses(workload, jobs, loaded):
+    config = base_config(workload=workload, shots=100, seeds=[0])
+    args = json.dumps(config), str(jobs), json.dumps(ON_DEMAND)
+    assert json.loads(_python(_LOADED_BY_RUN, *args)) == loaded
+
+
+def test_builtin_run_without_the_on_demand_modules():
+    config = base_config(t_sweep=[0.1, 0.3])
+    blocked = """
+import json, sys
+for name in json.loads(sys.argv[2]):
+    sys.modules[name] = None  # any import of it now fails
+from qtrust.harness import load_config, run_experiment
+records, errors = run_experiment(load_config(json.loads(sys.argv[1])))
+assert not errors, errors
+print(json.dumps(records))
+"""
+    out = _python(blocked, json.dumps(config), json.dumps(ON_DEMAND))
+    records, _ = run_experiment(load_config(config))
+    assert strip_wall_time(json.loads(out)) == strip_wall_time(records)
+
+
 # --- execution --------------------------------------------------------------------
 
 
@@ -1384,6 +1429,17 @@ def test_cli_run_and_report(tmp_path, capsys):
     code = main(["report", str(out), "--out", str(report_dir)])
     assert code == 0
     assert (report_dir / "fig6.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    out = tmp_path / "results.jsonl"
+    argv = ["run", "--config", str(DATA / "ci_adaptive.json"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--jobs", jobs])
+    assert exit_.value.code == 2
+    assert f"argument --jobs: needs at least 1 worker, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _RECORD = {
