@@ -4,13 +4,19 @@
 and the `qtrust report` tables (`write_reports`) are pure functions of the
 records. Only the standard library is imported, so `qtrust report` runs
 without numpy or the simulator.
+
+A summary's `_mean` is `math.fsum` over the seeds divided by their number,
+and its `_std` the population standard deviation over them (divided by
+`n_seeds`, not `n_seeds - 1`). `_pstdev` computes the variance exactly in
+integers and rounds its square root once, so a `_std` cell has the same
+bytes on every supported Python.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
-import statistics
 from pathlib import Path
 
 
@@ -53,15 +59,45 @@ def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
     return sorted(groups.items(), key=lambda kv: _order_key(kv[0]))
 
 
+_SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")
+# the metrics summaries and reports average: a number where present, and
+# PM's may be its "inf" sentinel
+_METRICS = (*_SUMMARY_METRICS, "phase_a_ar", "phase_b_ar")
+
+
 def _numeric(records, field) -> list:
     # skips missing fields and PM's "inf" sentinel
-    return [r[field] for r in records if isinstance(r.get(field), (int, float))]
+    return [r[field] for r in records if r.get(field, "inf") != "inf"]
 
 
 def field_mean(records, field) -> float | None:
     """Mean of the numeric values of `field`; None if there are none."""
     values = _numeric(records, field)
-    return statistics.fmean(values) if values else None
+    return math.fsum(values) / len(values) if values else None
+
+
+def _pstdev(values) -> float:
+    """Population standard deviation of ints and finite floats, correctly
+    rounded: the value `statistics.pstdev` gives on Python 3.11+."""
+    # a float's ratio is exact and its denominator a power of two, so every
+    # numerator scales to the largest one, 2**shift, without a remainder
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    nums = [n * (scale // d) for n, d in ratios]
+    count, total = len(nums), sum(nums)
+    # variance = (count * sum(x*x) - sum(x)**2) / (count**2 * 4**shift)
+    n = count * sum(x * x for x in nums) - total * total
+    m = (count * scale) ** 2
+    # the root to 2 * 53 + 3 bits, rounded to odd, then once to a float
+    # (bpo-45876: CPython's statistics._float_sqrt_of_frac)
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def write_jsonl(records: list[dict], path: str | Path) -> None:
@@ -80,11 +116,19 @@ _REPORT_FIELDS = {
 }
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+# Python's json reads NaN, Infinity and -Infinity; JSON (RFC 8259) has none
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
     """The records of a results file; an ``IoError`` names the path, and
     the line of a record that is not JSON, not an object, lacks a sort key,
-    holds a sort key of the wrong type or lacks a field its defense mode's
-    report reads."""
+    holds a sort key or an averaged metric of the wrong type or lacks a
+    field its defense mode's report reads."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such results file: {path}")
@@ -99,8 +143,8 @@ def read_jsonl(path: str | Path) -> list[dict]:
             continue
         where = f"{path}:{number}"
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = _DECODER.decode(line)
+        except ValueError as exc:  # json.JSONDecodeError or _not_json
             raise IoError(f"{where}: invalid JSON: {exc}")
         if not isinstance(record, dict):
             raise IoError(f"{where}: record is not a JSON object")
@@ -111,6 +155,13 @@ def read_jsonl(path: str | Path) -> list[dict]:
             value = record[field]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise IoError(f"{where}: {field} must be {name}, not {value!r}")
+        for field in _METRICS:
+            if field not in record:
+                continue
+            value = record[field]
+            # type(), not isinstance: a bool is not a number here
+            if type(value) not in (int, float) and (field, value) != ("pm", "inf"):
+                raise IoError(f"{where}: {field} must be a number, not {value!r}")
         mode = record["defense"]
         missing = [f for f in _REPORT_FIELDS.get(mode, ()) if f not in record]
         if missing:
@@ -133,7 +184,6 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
         writer.writerows(rows)
 
 
-_SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")
 _SUMMARY_GROUP = ("workload", "defense", "backend", "t", "shots")
 
 
@@ -146,9 +196,8 @@ def summarize(records: list[dict]) -> list[dict]:
             values = _numeric(group, metric)
             if not values:
                 continue
-            row[f"{metric}_mean"] = statistics.fmean(values)
-            # pstdev works in exact fractions; skip it for a single value
-            row[f"{metric}_std"] = statistics.pstdev(values) if len(values) > 1 else 0.0
+            row[f"{metric}_mean"] = math.fsum(values) / len(values)
+            row[f"{metric}_std"] = _pstdev(values)
         rows.append(row)
     return rows
 
@@ -189,7 +238,7 @@ def _rows_fig12(records):
                 {
                     **dict(zip(fields, key)),
                     "backend": name,
-                    "mean_shot_share": statistics.fmean(shares),
+                    "mean_shot_share": math.fsum(shares) / len(shares),
                     "selection_rate": selected / len(g),
                     "pm_mean": pm_mean,
                 }

@@ -14,11 +14,14 @@ ran before ``gates.apply_lines``.
 circuit in every evaluation. jsonschema
 is the reference for the config checker; qtrust itself does not import it.
 ``as_counts`` turns a dict literal into the ``Counts`` the library takes.
+``exact_variance`` and ``is_nearest_root`` check the summary's standard
+deviation in ``Fraction``s.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -421,3 +424,27 @@ def jsonschema_error_paths(schema: dict, value) -> set[tuple]:
     accepts ``value``."""
     validator = _IntOnlyValidator(schema)
     return {tuple(error.absolute_path) for error in validator.iter_errors(value)}
+
+
+# --- summary statistics: exact references ------------------------------------
+
+
+def exact_variance(values) -> Fraction:
+    """Population variance of ints and finite floats, in exact fractions."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    return sum((x - mean) ** 2 for x in xs) / len(xs)
+
+
+def is_nearest_root(root: float, square: Fraction) -> bool:
+    """Whether the float ``root`` is no farther from sqrt(``square``) than
+    either ``math.nextafter`` neighbour. For floats a < b and s >= 0, a is
+    no farther from s than b iff s**2 <= ((a + b) / 2) ** 2, so the check
+    stays in exact fractions. The neighbour above is ``root + math.ulp(root)``,
+    which stays finite at the largest float."""
+    if not (math.isfinite(root) and root >= 0):
+        return False
+    r = Fraction(root)
+    below = max((r + Fraction(math.nextafter(root, -math.inf))) / 2, 0)
+    above = r + Fraction(math.ulp(root)) / 2
+    return below * below <= square <= above * above

@@ -1479,6 +1479,36 @@ BAD_RESULTS = {
     "numeric_backend": (json.dumps({**_RECORD, "backend": 1}), "backend must be a string"),
     "null_workload": (json.dumps({**_RECORD, "workload": None}), "workload must be a string"),
     "bool_t": (json.dumps({**_RECORD, "t": False}), "t must be a number or null"),
+    # constants Python's json reads but JSON (RFC 8259) lacks: each used to
+    # reach the summary as a float
+    "nan_metric": (
+        json.dumps({**_RECORD, "tvd_vs_ideal": math.nan}),
+        "invalid JSON: NaN is not JSON",
+    ),
+    "infinite_metric": (
+        json.dumps({**_RECORD, "confidence": math.inf}),
+        "invalid JSON: Infinity is not JSON",
+    ),
+    "negative_infinite_sort_key": (
+        json.dumps({**_RECORD, "t": -math.inf}),
+        "invalid JSON: -Infinity is not JSON",
+    ),
+    # averaged metrics of another type: a string used to be skipped and a
+    # bool counted as 0 or 1
+    "string_pm": (json.dumps({**_RECORD, "pm": "2.5"}), "pm must be a number, not '2.5'"),
+    "bool_pm": (json.dumps({**_RECORD, "pm": True}), "pm must be a number, not True"),
+    "null_tvd": (
+        json.dumps({**_RECORD, "tvd_vs_clean": None}),
+        "tvd_vs_clean must be a number, not None",
+    ),
+    "inf_sentinel_ar": (
+        json.dumps({**_RECORD, "defense": "qaoa_split", "ar": "inf"}),
+        "ar must be a number, not 'inf'",
+    ),
+    "bool_phase_ar": (
+        json.dumps({**_RECORD, "defense": "qaoa_split", "phase_b_ar": False}),
+        "phase_b_ar must be a number, not False",
+    ),
 }
 
 
@@ -1490,6 +1520,14 @@ def test_cli_report_names_the_bad_line(tmp_path, capsys, line, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: {reason}")
     assert not (tmp_path / "report").exists()
+
+
+def test_read_jsonl_keeps_the_inf_sentinel_and_a_missing_metric(tmp_path):
+    without_pm = {k: v for k, v in _RECORD.items() if k != "pm"}
+    records = [{**_RECORD, "pm": "inf"}, {**_RECORD, "seed": 1, "pm": 3}, without_pm]
+    path = tmp_path / "results.jsonl"
+    write_jsonl(records, path)
+    assert read_jsonl(path) == records
 
 
 def test_cli_report_unreadable_path(tmp_path, capsys):

@@ -6,6 +6,7 @@ by hand from the JSONL records.
 """
 import csv
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -13,11 +14,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import exact_variance, is_nearest_root
 
 from qtrust.cli import main
-from qtrust.report import field_mean, group_by, read_jsonl, write_jsonl
+from qtrust.report import _pstdev, field_mean, group_by, read_jsonl, write_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 T_SWEEP = [0.1, 0.5]
 SHOTS_SWEEP = [200, 1000, 10000]  # str order would be 1000, 10000, 200
@@ -199,7 +204,7 @@ def test_summary_values_and_numeric_shot_order(runs):
     pms = [r["pm"] for r in group]
     assert int(row["n_seeds"]) == 2
     assert float(row["pm_mean"]) == statistics.fmean(pms)
-    assert float(row["pm_std"]) == statistics.pstdev(pms)
+    assert is_nearest_root(float(row["pm_std"]), exact_variance(pms))
 
 
 def test_fig6_averages_over_shots_and_seeds(runs):
@@ -335,6 +340,85 @@ def test_field_mean_skips_the_inf_sentinel_and_missing_fields():
     records = [{"pm": "inf"}, {"pm": 2.0}, {}, {"pm": 4}]
     assert field_mean(records, "pm") == 3.0
     assert field_mean(records[:1], "pm") is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _steps(x, ks):
+    """`x` moved by k floats for each k: values that cancel in a variance."""
+    out = []
+    for k in ks:
+        y = x
+        for _ in range(abs(k)):
+            y = math.nextafter(y, math.copysign(math.inf, k))
+        out.append(y)
+    return out
+
+
+SAMPLES = st.one_of(
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=8),
+    # mixed signs, from subnormals to the largest float
+    st.lists(FINITE, min_size=1, max_size=8),
+    st.lists(st.one_of(st.integers(-1000, 1000), FINITE), min_size=1, max_size=8),
+    # one value, or the same one repeated: exactly 0.0
+    st.builds(lambda x, k: [x] * k, FINITE, st.integers(1, 8)),
+    # one extreme exponent shared by all values
+    st.builds(
+        lambda xs, e: [math.ldexp(x, e) for x in xs],
+        st.lists(st.floats(-1, 1), min_size=1, max_size=8),
+        st.integers(-1074, 1020),
+    ),
+    st.builds(
+        _steps, st.floats(-1e308, 1e308), st.lists(st.integers(-3, 3), min_size=1, max_size=8)
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(SAMPLES)
+def test_pstdev_is_the_rounded_root_of_the_exact_variance(values):
+    std = _pstdev(values)
+    assert type(std) is float
+    assert is_nearest_root(std, exact_variance(values))
+    if sys.version_info >= (3, 11):  # 3.10 rounds the variance to a float first
+        assert std == statistics.pstdev(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-1000, 1000), st.floats(-1e300, 1e300)), min_size=1, max_size=8))
+def test_field_mean_is_fmean(values):
+    assert field_mean([{"pm": v} for v in values], "pm") == statistics.fmean(values)
+
+
+# modules a summary or a report once loaded through `statistics`
+EXACT_ARITHMETIC = ("statistics", "fractions", "decimal")
+_CLI_MODULES = """
+import json, sys
+import qtrust.cli
+code = qtrust.cli.main(sys.argv[2:])
+print(code, json.dumps(sorted(m for m in json.loads(sys.argv[1]) if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cli_loads_no_exact_arithmetic(tmp_path, command):
+    results = tmp_path / "results.jsonl"
+    # a builtin workload
+    argv = ["run", "--config", str(DATA / "ci_adaptive.json"), "--out", str(results)]
+    if command == "report":
+        assert main(argv) == 0
+        argv = ["report", str(results), "--out", str(tmp_path / "report")]
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_MODULES, json.dumps(EXACT_ARITHMETIC), *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # imports the CLI, then blocks numpy: any later import of it fails
