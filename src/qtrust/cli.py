@@ -13,6 +13,7 @@ only for a `qaoa` workload, and the thread pool only for `--jobs` above 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -103,6 +104,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtrust",

@@ -1,9 +1,11 @@
 """Results records: JSONL I/O, sort order, grouping and derived CSVs.
 
-`write_jsonl` and `read_jsonl` own the on-disk record format; `summarize`
-and the `qtrust report` tables (`write_reports`) are pure functions of the
-records. Only the standard library is imported, so `qtrust report` runs
-without numpy or the simulator.
+`write_jsonl` and `read_jsonl` own the on-disk record format, and
+`_FIELDS` and `_LAYOUTS` the record layout: each field's type and the
+fields each defense mode's records carry. `summarize` and the `qtrust
+report` tables (`write_reports`) are pure functions of the records. Only
+the standard library is imported, so `qtrust report` runs without numpy or
+the simulator.
 
 A summary's `_mean` is `math.fsum` over the seeds divided by their number,
 and its `_std` the population standard deviation over them (divided by
@@ -29,21 +31,13 @@ def _order_key(values) -> list:
     return [(v is not None, v) for v in values]
 
 
-# the fields records are sorted by, in order, and the type each must hold
-# so that the records of a file compare; a bool is none of them
-_RECORD_ORDER = {
-    "workload": (str, "a string"),
-    "defense": (str, "a string"),
-    "t": ((int, float, type(None)), "a number or null"),
-    "shots": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "backend": (str, "a string"),
-}
+# the fields records are sorted by, in order
+_SORT = ("workload", "defense", "t", "shots", "seed", "backend")
 
 
 def record_key(record: dict) -> list:
     """The order of records in a results file: by cell, then backend."""
-    return _order_key(record[f] for f in _RECORD_ORDER)
+    return _order_key(record[f] for f in _SORT)
 
 
 def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
@@ -60,9 +54,6 @@ def group_by(records, fields, where=None) -> list[tuple[tuple, list[dict]]]:
 
 
 _SUMMARY_METRICS = ("pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence", "ar")
-# the metrics summaries and reports average: a number where present, and
-# PM's may be its "inf" sentinel
-_METRICS = (*_SUMMARY_METRICS, "phase_a_ar", "phase_b_ar")
 
 
 def _numeric(records, field) -> list:
@@ -109,11 +100,51 @@ def write_jsonl(records: list[dict], path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
 
 
-# the fields a `qtrust report` builder reads from every record of a mode
-_REPORT_FIELDS = {
-    "adaptive": ("allocations",),
-    "qaoa_adaptive": ("probe_ars", "selected", "ar"),
+# each field's types, compared with type() so that a bool is not a number,
+# and their name in an error; only PM may also hold its "inf" sentinel
+_FIELDS = {
+    **dict.fromkeys(
+        ("schema_version", "shots", "seed", "shots_in_answer", "cmax"),
+        ((int,), "an integer"),
+    ),
+    "t": ((int, float, type(None)), "a number or null"),
+    **dict.fromkeys(
+        ("wall_time_s", "pm", "tvd_vs_ideal", "tvd_vs_clean", "confidence")
+        + ("ar", "best_expectation", "phase_a_ar", "phase_b_ar"),
+        ((int, float), "a number"),
+    ),
+    **dict.fromkeys(
+        ("experiment_id", "workload", "defense", "backend", "top_outcome")
+        + ("correct", "selected"),
+        ((str,), "a string"),
+    ),
+    **dict.fromkeys(("top_counts", "probe", "probe_ars"), ((dict,), "an object")),
+    **dict.fromkeys(("allocations", "gamma", "beta"), ((list,), "an array")),
 }
+# the fields of every record, and of one that holds a sampled or a QAOA answer
+_BASE = frozenset({"schema_version", "experiment_id", *_SORT, "wall_time_s"})
+_SAMPLED = _BASE.union(
+    ("pm", "tvd_vs_ideal", "tvd_vs_clean", "top_outcome", "confidence"),
+    ("correct", "top_counts", "shots_in_answer"),
+)
+_QAOA = _BASE | {"ar", "cmax", "best_expectation", "gamma", "beta"}
+# defense mode -> the field sets its records may have
+_LAYOUTS = {
+    "none": (_SAMPLED, _QAOA),
+    "equal": (_SAMPLED | {"allocations"},),
+    "adaptive": (_SAMPLED | {"allocations", "probe", "selected"},),
+    "qaoa_split": (_QAOA | {"phase_a_ar", "phase_b_ar"},),
+    "qaoa_adaptive": (_QAOA | {"selected", "probe_ars"},),
+}
+
+
+def _misfit(mode: str, keys: set) -> str:
+    """How a record's fields differ from the nearest layout of its mode."""
+    nearest = min(_LAYOUTS[mode], key=lambda layout: len(layout ^ keys))
+    lacks, extra = sorted(nearest - keys), sorted(keys - nearest)
+    parts = [f"lacks {', '.join(lacks)}"] if lacks else []
+    parts += [f"has extra fields: {', '.join(extra)}"] if extra else []
+    return f"{mode} record {' and '.join(parts)}"
 
 
 def _not_json(constant: str):
@@ -126,9 +157,9 @@ _DECODER = json.JSONDecoder(parse_constant=_not_json)
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """The records of a results file; an ``IoError`` names the path, and
-    the line of a record that is not JSON, not an object, lacks a sort key,
-    holds a sort key or an averaged metric of the wrong type or lacks a
-    field its defense mode's report reads."""
+    the line of a record that is not JSON or not an object, whose defense
+    mode is missing or unknown, whose fields are none of its mode's layouts
+    (`_LAYOUTS`) or whose field holds a value of the wrong type (`_FIELDS`)."""
     path = Path(path)
     if not path.exists():
         raise IoError(f"no such results file: {path}")
@@ -148,24 +179,17 @@ def read_jsonl(path: str | Path) -> list[dict]:
             raise IoError(f"{where}: invalid JSON: {exc}")
         if not isinstance(record, dict):
             raise IoError(f"{where}: record is not a JSON object")
-        missing = [f for f in _RECORD_ORDER if f not in record]
-        if missing:
-            raise IoError(f"{where}: record lacks {', '.join(missing)}")
-        for field, (kind, name) in _RECORD_ORDER.items():
-            value = record[field]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise IoError(f"{where}: {field} must be {name}, not {value!r}")
-        for field in _METRICS:
-            if field not in record:
-                continue
-            value = record[field]
-            # type(), not isinstance: a bool is not a number here
-            if type(value) not in (int, float) and (field, value) != ("pm", "inf"):
-                raise IoError(f"{where}: {field} must be a number, not {value!r}")
+        if "defense" not in record:
+            raise IoError(f"{where}: record lacks defense")
         mode = record["defense"]
-        missing = [f for f in _REPORT_FIELDS.get(mode, ()) if f not in record]
-        if missing:
-            raise IoError(f"{where}: {mode} record lacks {', '.join(missing)}")
+        if type(mode) is not str or mode not in _LAYOUTS:
+            raise IoError(f"{where}: unknown defense {mode!r}")
+        if record.keys() not in _LAYOUTS[mode]:
+            raise IoError(f"{where}: {_misfit(mode, set(record))}")
+        for field, value in record.items():
+            kinds, name = _FIELDS[field]
+            if type(value) not in kinds and (field, value) != ("pm", "inf"):
+                raise IoError(f"{where}: {field} must be {name}, not {value!r}")
         records.append(record)
     return records
 
@@ -233,7 +257,7 @@ def _rows_fig12(records):
         pm_mean = field_mean(g, "pm")
         for name in sorted({name for a in allocations for name in a}):
             shares = [a.get(name, 0) / sum(a.values()) for a in allocations]
-            selected = sum(r.get("selected") == name for r in g)
+            selected = sum(r["selected"] == name for r in g)
             rows.append(
                 {
                     **dict(zip(fields, key)),
@@ -249,7 +273,7 @@ def _rows_fig12(records):
 def _rows_table3(records):
     """Per-backend probe fingerprints from adaptive runs."""
     rows = []
-    for key, g in group_by(records, _CELL, _defense("adaptive", "probe")):
+    for key, g in group_by(records, _CELL, _defense("adaptive")):
         cell = dict(zip(_CELL, key))
         for r in g:
             probe = r["probe"]

@@ -21,7 +21,7 @@ from qtrust.adversary import TamperMode
 from qtrust.benchmarks import builtin
 from qtrust.cli import main
 from qtrust.harness import ConfigError, load_config, run_experiment
-from qtrust.report import read_jsonl, summarize, write_jsonl
+from qtrust.report import IoError, read_jsonl, summarize, write_jsonl
 
 from oracles import jsonschema_error_paths
 
@@ -1442,31 +1442,64 @@ def test_cli_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-_RECORD = {
+# the fields of every record, then a full sampled and a full QAOA `none`
+# record
+_BASE = {
+    "schema_version": 1,
+    "experiment_id": "0123456789ab",
     "workload": "toffoli_n3",
     "defense": "none",
     "t": 0.5,
     "shots": 100,
     "seed": 0,
     "backend": "hw_a",
-    "pm": 2.0,
+    "wall_time_s": 0.01,
 }
+_RECORD = {
+    **_BASE,
+    "pm": 2.0,
+    "tvd_vs_ideal": 0.1,
+    "tvd_vs_clean": 0.05,
+    "top_outcome": "111",
+    "confidence": 0.6,
+    "correct": "111",
+    "top_counts": {"111": 60, "011": 30, "101": 10},
+    "shots_in_answer": 100,
+}
+_QAOA_RECORD = {
+    **_BASE,
+    "workload": "qaoa_n4",
+    "ar": 0.9,
+    "cmax": 4,
+    "best_expectation": 3.6,
+    "gamma": [0.4],
+    "beta": [0.3],
+}
+_SPLIT_RECORD = {
+    **_QAOA_RECORD,
+    "defense": "qaoa_split",
+    "backend": "hw_a+hw_b",
+    "phase_a_ar": 0.9,
+    "phase_b_ar": 0.8,
+}
+
+
+def _without(record: dict, field: str) -> dict:
+    return {k: v for k, v in record.items() if k != field}
+
 
 # a second line `qtrust report` must refuse, and the reason it gives
 BAD_RESULTS = {
     "truncated": (json.dumps(_RECORD)[:-9], "invalid JSON"),
     "not_an_object": ("[1, 2]", "record is not a JSON object"),
-    "missing_key": (
-        json.dumps({k: v for k, v in _RECORD.items() if k != "defense"}),
-        "record lacks defense",
-    ),
+    "missing_key": (json.dumps(_without(_RECORD, "defense")), "record lacks defense"),
     # fields one report builder reads: each used to end in a KeyError
     "adaptive_without_allocations": (
         json.dumps({**_RECORD, "defense": "adaptive", "selected": "hw_a"}),
         "adaptive record lacks allocations",
     ),
     "qaoa_adaptive_without_probe_ars": (
-        json.dumps({**_RECORD, "defense": "qaoa_adaptive", "selected": "hw_a", "ar": 0.9}),
+        json.dumps({**_QAOA_RECORD, "defense": "qaoa_adaptive", "selected": "hw_a"}),
         "qaoa_adaptive record lacks probe_ars",
     ),
     # sort keys of another type: each used to end in a TypeError while sorting
@@ -1502,12 +1535,36 @@ BAD_RESULTS = {
         "tvd_vs_clean must be a number, not None",
     ),
     "inf_sentinel_ar": (
-        json.dumps({**_RECORD, "defense": "qaoa_split", "ar": "inf"}),
+        json.dumps({**_SPLIT_RECORD, "ar": "inf"}),
         "ar must be a number, not 'inf'",
     ),
     "bool_phase_ar": (
-        json.dumps({**_RECORD, "defense": "qaoa_split", "phase_b_ar": False}),
+        json.dumps({**_SPLIT_RECORD, "phase_b_ar": False}),
         "phase_b_ar must be a number, not False",
+    ),
+    # fields against the mode's layout (report._LAYOUTS): a missing metric
+    # used to be skipped, so a mean covered fewer seeds than n_seeds said
+    "none_without_pm": (json.dumps(_without(_RECORD, "pm")), "none record lacks pm"),
+    "without_top_counts": (
+        json.dumps(_without(_RECORD, "top_counts")),
+        "none record lacks top_counts",
+    ),
+    "unknown_field": (
+        json.dumps({**_RECORD, "pm_exact": 2.0}),
+        "none record has extra fields: pm_exact",
+    ),
+    "unknown_defense": (
+        json.dumps({**_RECORD, "defense": "majority"}),
+        "unknown defense 'majority'",
+    ),
+    # the other fields' types (report._FIELDS)
+    "string_wall_time": (
+        json.dumps({**_RECORD, "wall_time_s": "1"}),
+        "wall_time_s must be a number, not '1'",
+    ),
+    "list_top_counts": (
+        json.dumps({**_RECORD, "top_counts": []}),
+        "top_counts must be an object, not []",
     ),
 }
 
@@ -1522,12 +1579,14 @@ def test_cli_report_names_the_bad_line(tmp_path, capsys, line, reason):
     assert not (tmp_path / "report").exists()
 
 
-def test_read_jsonl_keeps_the_inf_sentinel_and_a_missing_metric(tmp_path):
-    without_pm = {k: v for k, v in _RECORD.items() if k != "pm"}
-    records = [{**_RECORD, "pm": "inf"}, {**_RECORD, "seed": 1, "pm": 3}, without_pm]
+def test_read_jsonl_keeps_the_inf_sentinel_and_refuses_a_missing_metric(tmp_path):
+    records = [{**_RECORD, "pm": "inf"}, {**_RECORD, "seed": 1, "pm": 3}]
     path = tmp_path / "results.jsonl"
     write_jsonl(records, path)
     assert read_jsonl(path) == records
+    write_jsonl([*records, _without(_RECORD, "pm")], path)
+    with pytest.raises(IoError, match=f"^{re.escape(str(path))}:3: none record lacks pm$"):
+        read_jsonl(path)
 
 
 def test_cli_report_unreadable_path(tmp_path, capsys):

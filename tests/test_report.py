@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -18,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import exact_variance, is_nearest_root
 
+from qtrust import report
 from qtrust.cli import main
+from qtrust.harness import load_config, run_experiment
 from qtrust.report import _pstdev, field_mean, group_by, read_jsonl, write_jsonl
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 DATA = Path(__file__).resolve().parent / "data"
 
 T_SWEEP = [0.1, 0.5]
@@ -334,6 +338,66 @@ def test_group_by_sorts_none_first_and_numbers_numerically():
     assert [len(g) for _, g in groups] == [1, 1, 2, 1]
     filtered = group_by(records, ("t",), where=lambda r: r["shots"] == 200)
     assert [(key, len(g)) for key, g in filtered] == [((0.1,), 1), ((0.5,), 2)]
+
+
+# every layout the harness writes: each CI config, each config above, and
+# a QAOA `none` run, which no CI config makes
+WRITERS = {
+    **{path.stem: path for path in sorted(DATA.glob("ci_*.json"))},
+    **CONFIGS,
+    "qaoa_none": {
+        "workload": {"qaoa": {"nodes": 4, "degree": 2, "iterations": 10}},
+        "backends": SAMPLE_BACKENDS,
+        "shots": 1000,
+        "seeds": [0],
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_written_records_have_their_mode_layout_and_read_back(tmp_path, name):
+    records, errors = run_experiment(load_config(WRITERS[name]))
+    assert errors == [] and records
+    for record in records:
+        assert record.keys() in report._LAYOUTS[record["defense"]]
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_jsonl(records, first)
+    write_jsonl(read_jsonl(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _output_tables() -> list[list[list[str]]]:
+    """The tables under "## Output" in docs/config_schema.md: their body
+    rows, as lists of stripped cells."""
+    text = (DOCS / "config_schema.md").read_text()
+    section = text.split("\n## Output\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        [[cell.strip() for cell in line.split("|")[1:-1]] for line in block.splitlines()[2:]]
+        for block in re.findall(r"(?:^\|.*\n)+", section, flags=re.MULTILINE)
+    ]
+
+
+def test_docs_record_tables_match_the_layouts():
+    fields, layouts = _output_tables()
+    groups, kinds = {}, {}
+    for field, kind, group in fields:
+        kinds[field.strip("`")] = kind
+        if group:
+            groups.setdefault(group, set()).add(field.strip("`"))
+    # "a number" in an error is "number" in the docs; only PM has a sentinel
+    named = {field: name.split(" ", 1)[1] for field, (_, name) in report._FIELDS.items()}
+    named["pm"] += ' or `"inf"`'
+    assert kinds == named
+    documented = {}
+    for mode, _, names in layouts:
+        layout = set()
+        for name in names.split(", "):
+            layout |= groups.get(name, {name.strip("`")})
+        documented.setdefault(mode.strip("`"), set()).add(frozenset(layout))
+    assert documented == {mode: set(layouts) for mode, layouts in report._LAYOUTS.items()}
+    # every typed field is in some layout
+    every = [layout for modes in documented.values() for layout in modes]
+    assert set().union(*every) == set(kinds)
 
 
 def test_field_mean_skips_the_inf_sentinel_and_missing_fields():
